@@ -112,6 +112,10 @@ parseBenchArgs(int argc, char **argv)
  * from the environment, per-run trace artifacts next to the bench's
  * own artifacts.
  */
+// GCC 12 false positive (GCC bug 105329): -Wrestrict inside the
+// std::string memcpy inlined from the traceDir assignments.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wrestrict"
 inline harness::ExecutorOptions
 benchExecutorOptions()
 {
@@ -122,6 +126,7 @@ benchExecutorOptions()
         opts.traceDir = d;
     return opts;
 }
+#pragma GCC diagnostic pop
 
 /**
  * Executor options for a plan that carries @p faults. An armed fault

@@ -122,18 +122,15 @@ buildSmTickWarp(const std::string &prog, std::uint64_t i,
         out.instrs.push_back(std::move(wi));
     };
     auto load = [&](bool coalesced, unsigned op) {
-        gpu::WarpInstr wi;
-        wi.kind = gpu::ThreadOp::Kind::Load;
-        wi.laneMask = maskLow(32);
-        wi.laneAddrs.resize(32);
+        const std::span<Addr> slots =
+            out.appendMem(gpu::ThreadOp::Kind::Load, maskLow(32));
         for (unsigned l = 0; l < 32; ++l) {
-            wi.laneAddrs[l] =
+            slots[l] =
                 coalesced
                     ? Addr{0x100000} + (i * 8 + op) * 128 + l * 4
                     : (mixBits(i * 997 + op * 131 + l) & 0x3FFFFF) *
                           64;
         }
-        out.instrs.push_back(std::move(wi));
     };
 
     if (prog == "allbusy-compute") {

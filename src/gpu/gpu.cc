@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "common/bits.hh"
 #include "common/logging.hh"
 #include "trace/trace.hh"
 
@@ -30,66 +31,76 @@ Gpu::attachTrace(trace::TraceSink &sink, const std::string &prefix)
 }
 
 void
+mergeLanes(std::span<const ThreadOp> ops,
+           std::span<const std::uint32_t> laneEnd, Warp &out)
+{
+    const std::size_t n = laneEnd.size();
+    panic_if(n > 64, "a warp of %zu lanes exceeds the 64-bit lane mask",
+             n);
+    out.threads = static_cast<unsigned>(n);
+
+    // pos[i] is lane i's next op; `live` holds the lanes with ops
+    // left, so the leader is its lowest set bit.
+    std::uint32_t pos[64];
+    std::uint64_t live = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+        pos[i] = i ? laneEnd[i - 1] : 0;
+        if (pos[i] < laneEnd[i])
+            live |= std::uint64_t{1} << i;
+    }
+
+    while (live) {
+        const ThreadOp::Kind kind = ops[pos[ctz64(live)]].kind;
+        if (kind == ThreadOp::Kind::Compute) {
+            WarpInstr wi;
+            for (std::uint64_t m = live; m; m &= m - 1) {
+                const unsigned i = ctz64(m);
+                const ThreadOp &op = ops[pos[i]];
+                if (op.kind != kind)
+                    continue;
+                wi.computeCount = std::max(wi.computeCount, op.count);
+                if (++pos[i] == laneEnd[i])
+                    live &= ~(std::uint64_t{1} << i);
+            }
+            if (wi.computeCount == 0)
+                wi.computeCount = 1;
+            out.instrs.push_back(wi);
+            continue;
+        }
+        // Slot-per-lane handoff: lane i's address lives in slot i,
+        // the mask says which slots participate.
+        const std::span<Addr> slots = out.appendMem(kind, 0);
+        WarpInstr &wi = out.instrs.back();
+        for (std::uint64_t m = live; m; m &= m - 1) {
+            const unsigned i = ctz64(m);
+            const ThreadOp &op = ops[pos[i]];
+            if (op.kind != kind)
+                continue;
+            slots[i] = op.addr;
+            wi.laneMask |= std::uint64_t{1} << i;
+            wi.bytesPerLane = std::max(wi.bytesPerLane, op.count);
+            if (++pos[i] == laneEnd[i])
+                live &= ~(std::uint64_t{1} << i);
+        }
+    }
+}
+
+void
 Gpu::buildWarp(const KernelLaunch &k, std::uint64_t warp_id, Warp &out)
 {
     const std::uint64_t first = warp_id * p.warpSize;
     const std::uint64_t last =
         std::min<std::uint64_t>(first + p.warpSize, k.numThreads);
 
-    // Record each thread's operation list.
-    thread_local ThreadRecorder rec;
-    std::vector<std::vector<ThreadOp>> lanes;
-    lanes.reserve(last - first);
+    // Record every lane into one flat buffer, then merge.
+    laneOps.clear();
+    laneEnd.clear();
     for (std::uint64_t tid = first; tid < last; ++tid) {
-        rec.clear();
-        k.body(tid, rec);
-        lanes.push_back(rec.recorded());
+        k.body(tid, laneOps);
+        laneEnd.push_back(
+            static_cast<std::uint32_t>(laneOps.recorded().size()));
     }
-    out.threads = static_cast<unsigned>(lanes.size());
-
-    // Positional SIMT merge: at each step, the kind of the first
-    // unfinished lane's current op executes; lanes whose current op
-    // differs (divergent paths) wait and execute in a later slot.
-    std::vector<std::size_t> pos(lanes.size(), 0);
-    while (true) {
-        int leader = -1;
-        for (std::size_t i = 0; i < lanes.size(); ++i) {
-            if (pos[i] < lanes[i].size()) {
-                leader = static_cast<int>(i);
-                break;
-            }
-        }
-        if (leader < 0)
-            break;
-        const ThreadOp::Kind kind =
-            lanes[static_cast<std::size_t>(leader)]
-                 [pos[static_cast<std::size_t>(leader)]].kind;
-        WarpInstr wi;
-        wi.kind = kind;
-        if (kind != ThreadOp::Kind::Compute)
-            wi.laneAddrs.resize(lanes.size(), 0);
-        for (std::size_t i = 0; i < lanes.size(); ++i) {
-            if (pos[i] >= lanes[i].size())
-                continue;
-            const ThreadOp &op = lanes[i][pos[i]];
-            if (op.kind != kind)
-                continue;
-            if (kind == ThreadOp::Kind::Compute) {
-                wi.computeCount =
-                    std::max(wi.computeCount, op.count);
-            } else {
-                // Slot-per-lane handoff: lane i's address lives in
-                // slot i, the mask says which slots participate.
-                wi.laneAddrs[i] = op.addr;
-                wi.laneMask |= std::uint64_t{1} << i;
-                wi.bytesPerLane = std::max(wi.bytesPerLane, op.count);
-            }
-            ++pos[i];
-        }
-        if (kind == ThreadOp::Kind::Compute && wi.computeCount == 0)
-            wi.computeCount = 1;
-        out.instrs.push_back(std::move(wi));
-    }
+    mergeLanes(laneOps.recorded(), laneEnd, out);
 }
 
 KernelStats

@@ -10,6 +10,7 @@
 #define SCUSIM_GPU_GPU_HH
 
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "gpu/gpu_config.hh"
@@ -43,6 +44,19 @@ struct GpuTotals
         return compactionCycles + processingCycles;
     }
 };
+
+/**
+ * Positional SIMT merge of one warp's recorded lanes into @p out's
+ * instruction stream and address pool. Lane i's ops are
+ * ops[laneEnd[i-1], laneEnd[i]) (lane 0 starts at 0), so the warp
+ * has laneEnd.size() lanes, at most 64. At each step the kind of the
+ * first unfinished lane's current op executes; lanes whose current
+ * op differs (divergent paths) wait for a later slot. A merged
+ * compute op runs the lanes' max count, a merged mem op the lanes'
+ * max bytes (at least the WarpInstr default).
+ */
+void mergeLanes(std::span<const ThreadOp> ops,
+                std::span<const std::uint32_t> laneEnd, Warp &out);
 
 class Gpu
 {
@@ -78,7 +92,7 @@ class Gpu
                      const std::string &prefix = "");
 
   private:
-    /** Merge one warp's thread op lists into a SIMT stream. */
+    /** Record one warp's lanes and merge them into @p out. */
     void buildWarp(const KernelLaunch &k, std::uint64_t warp_id,
                    Warp &out);
 
@@ -88,6 +102,11 @@ class Gpu
     std::vector<std::unique_ptr<StreamingMultiprocessor>> sms;
     GpuTotals agg;
     trace::TraceChannel *traceChan = nullptr;
+
+    /** buildWarp scratch: every lane's ops, back to back. */
+    ThreadRecorder laneOps;
+    /** buildWarp scratch: end offset of each lane in laneOps. */
+    std::vector<std::uint32_t> laneEnd;
 };
 
 } // namespace scusim::gpu

@@ -41,7 +41,8 @@ struct ThreadOp
 /**
  * Recorder handed to a kernel body for one thread. Operations are
  * replayed in order by the SIMT pipeline, positionally merged across
- * the 32 lanes of a warp.
+ * the 32 lanes of a warp. The warp builder records all lanes of a
+ * warp back to back into one recorder, so a body only ever appends.
  */
 class ThreadRecorder
 {

@@ -70,6 +70,9 @@ StreamingMultiprocessor::StreamingMultiprocessor(
     panic_if(p.maxResidentWarps() > kMaxWarpSlots,
              "maxResidentWarps %u exceeds the %u-slot ready mask",
              p.maxResidentWarps(), kMaxWarpSlots);
+    warps.resize(p.maxResidentWarps());
+    for (unsigned i = p.maxResidentWarps(); i-- > 0;)
+        freeWarps.push_back(static_cast<std::uint8_t>(i));
     body.reserve(p.maxResidentWarps());
     wBlocked.reserve(p.maxResidentWarps());
     wPc.reserve(p.maxResidentWarps());
@@ -109,7 +112,15 @@ void
 StreamingMultiprocessor::refill()
 {
     while (!sourceDry && body.size() < p.maxResidentWarps()) {
-        Warp w;
+        // Build in place into a free warp: its vectors keep their
+        // capacity, so steady-state refills allocate nothing.
+        Warp &w = warps[freeWarps.back()];
+        w.instrs.clear();
+        w.addrs.clear();
+        w.pc = 0;
+        w.computeLeft = 0;
+        w.blockedUntil = 0;
+        w.threads = 0;
         if (!warpSource || !warpSource(w)) {
             sourceDry = true;
             break;
@@ -120,22 +131,40 @@ StreamingMultiprocessor::refill()
         }
         const std::size_t s = body.size();
         const std::uint64_t bit = std::uint64_t{1} << s;
-        body.push_back({std::move(w.instrs), w.threads});
+        body.push_back(freeWarps.back());
+        freeWarps.pop_back();
         wBlocked.push_back(w.blockedUntil);
         wPc.push_back(static_cast<std::uint32_t>(w.pc));
         wComputeLeft.push_back(w.computeLeft);
         wNumInstrs.push_back(
-            static_cast<std::uint32_t>(body.back().instrs.size()));
+            static_cast<std::uint32_t>(w.instrs.size()));
         if (wPc[s] >= wNumInstrs[s])
             doneMask |= bit;
         // A slot arriving blocked in the past is promoted by the
         // next advanceReady(); nothing reads the masks in between.
-        if (wBlocked[s] == 0)
+        if (wBlocked[s] == 0) {
             readyMask |= bit;
-        else
+        } else {
+            farMask |= bit;
+            farMin = std::min(farMin, wBlocked[s]);
             blockedMin = std::min(blockedMin, wBlocked[s]);
+        }
     }
     recomputeWake();
+}
+
+Tick
+StreamingMultiprocessor::promoteDue(std::uint64_t slots, Tick now)
+{
+    Tick rest = tickNever;
+    for (std::uint64_t m = slots; m; m &= m - 1) {
+        const std::size_t s = ctz64(m);
+        if (wBlocked[s] <= now)
+            readyMask |= std::uint64_t{1} << s;
+        else
+            rest = std::min(rest, wBlocked[s]);
+    }
+    return rest;
 }
 
 void
@@ -145,15 +174,15 @@ StreamingMultiprocessor::advanceReady(Tick now)
         return;
     const std::uint64_t blocked =
         maskLow(static_cast<unsigned>(body.size())) & ~readyMask;
-    Tick rest = tickNever;
-    for (std::uint64_t m = blocked; m; m &= m - 1) {
-        const std::size_t s = ctz64(m);
-        if (wBlocked[s] <= now)
-            readyMask |= std::uint64_t{1} << s;
-        else
-            rest = std::min(rest, wBlocked[s]);
+    // Each class is rescanned only once its own minimum has come due,
+    // so the long memory waits are not walked on every ALU wake-up.
+    if (nearMin <= now)
+        nearMin = promoteDue(blocked & ~farMask, now);
+    if (farMin <= now) {
+        farMin = promoteDue(blocked & farMask, now);
+        farMask &= ~readyMask;
     }
-    blockedMin = rest;
+    blockedMin = std::min(nearMin, farMin);
 }
 
 void
@@ -196,7 +225,9 @@ StreamingMultiprocessor::nextWakeTick() const
 }
 
 Tick
-StreamingMultiprocessor::executeMem(const WarpInstr &wi, Tick now)
+StreamingMultiprocessor::executeMem(const WarpInstr &wi,
+                                    std::span<const Addr> lanes,
+                                    Tick now)
 {
     // Coalesce the active lanes into line transactions. Atomics
     // cannot merge lanes: each distinct address is its own
@@ -204,11 +235,10 @@ StreamingMultiprocessor::executeMem(const WarpInstr &wi, Tick now)
     txnScratch.clear();
     std::size_t txns;
     if (wi.kind == ThreadOp::Kind::Atomic) {
-        txns = mem::appendUniqueAddrs(wi.laneAddrs, wi.laneMask,
-                                      txnScratch);
+        txns = mem::appendUniqueAddrs(lanes, wi.laneMask, txnScratch);
     } else {
-        txns = mem::coalesceLanes(wi.laneAddrs, wi.laneMask,
-                                  p.l1.lineBytes, txnScratch);
+        txns = mem::coalesceLanes(lanes, wi.laneMask, p.l1.lineBytes,
+                                  txnScratch);
     }
 
     if (kstats) {
@@ -270,8 +300,8 @@ StreamingMultiprocessor::executeMem(const WarpInstr &wi, Tick now)
 void
 StreamingMultiprocessor::issueSlot(std::size_t s, Tick now)
 {
-    WarpBody &b = body[s];
-    WarpInstr &wi = b.instrs[wPc[s]];
+    const Warp &b = warps[body[s]];
+    const WarpInstr &wi = b.instrs[wPc[s]];
     ++issuedInstrs;
     if (kstats) {
         ++kstats->warpInstrs;
@@ -291,7 +321,7 @@ StreamingMultiprocessor::issueSlot(std::size_t s, Tick now)
         // latency before its next instruction.
         blocked_until = now + p.depIssueLatency;
     } else {
-        const Tick complete = executeMem(wi, now);
+        const Tick complete = executeMem(wi, b.laneAddrs(wi), now);
         if (++wPc[s] >= wNumInstrs[s])
             doneMask |= std::uint64_t{1} << s;
         blocked_until = wi.kind == ThreadOp::Kind::Load
@@ -301,6 +331,12 @@ StreamingMultiprocessor::issueSlot(std::size_t s, Tick now)
     wBlocked[s] = blocked_until;
     if (blocked_until > now) {
         readyMask &= ~(std::uint64_t{1} << s);
+        if (blocked_until - now > kNearHorizon) {
+            farMask |= std::uint64_t{1} << s;
+            farMin = std::min(farMin, blocked_until);
+        } else {
+            nearMin = std::min(nearMin, blocked_until);
+        }
         blockedMin = std::min(blockedMin, blocked_until);
     }
 }
@@ -309,21 +345,26 @@ void
 StreamingMultiprocessor::compactRetired(std::uint64_t retire)
 {
     const std::size_t n = body.size();
-    std::uint64_t new_ready = 0;
-    std::uint64_t new_done = 0;
-    std::size_t k = 0;
-    for (std::size_t j = 0; j < n; ++j) {
+    for (std::uint64_t m = retire; m; m &= m - 1)
+        freeWarps.push_back(body[ctz64(m)]);
+    // Slots below the first retired one keep their index and bits;
+    // from there on k < j, so every survivor moves down.
+    std::size_t k = ctz64(retire);
+    const std::uint64_t prefix = maskLow(static_cast<unsigned>(k));
+    std::uint64_t new_ready = readyMask & prefix;
+    std::uint64_t new_done = doneMask & prefix;
+    std::uint64_t new_far = farMask & prefix;
+    for (std::size_t j = k + 1; j < n; ++j) {
         if ((retire >> j) & 1)
             continue;
-        if (k != j) {
-            body[k] = std::move(body[j]);
-            wBlocked[k] = wBlocked[j];
-            wPc[k] = wPc[j];
-            wComputeLeft[k] = wComputeLeft[j];
-            wNumInstrs[k] = wNumInstrs[j];
-        }
+        body[k] = body[j];
+        wBlocked[k] = wBlocked[j];
+        wPc[k] = wPc[j];
+        wComputeLeft[k] = wComputeLeft[j];
+        wNumInstrs[k] = wNumInstrs[j];
         new_ready |= ((readyMask >> j) & 1) << k;
         new_done |= ((doneMask >> j) & 1) << k;
+        new_far |= ((farMask >> j) & 1) << k;
         ++k;
     }
     body.resize(k);
@@ -333,8 +374,9 @@ StreamingMultiprocessor::compactRetired(std::uint64_t retire)
     wNumInstrs.resize(k);
     readyMask = new_ready;
     doneMask = new_done;
-    // Retired slots were all ready, so the blocked set — and
-    // blockedMin — are unchanged.
+    farMask = new_far;
+    // Retired slots were all ready, so the blocked set — and its
+    // minima — are unchanged.
 }
 
 void

@@ -20,6 +20,7 @@
 #include <functional>
 #include <memory>
 #include <queue>
+#include <span>
 #include <vector>
 
 #include "gpu/gpu_config.hh"
@@ -48,26 +49,30 @@ struct WarpInstr
     ThreadOp::Kind kind = ThreadOp::Kind::Compute;
     std::uint32_t computeCount = 0;  ///< Compute: instructions
     std::uint32_t bytesPerLane = 4;  ///< mem ops
+    /**
+     * Mem ops: index of the first of this instruction's `threads`
+     * address slots in the owning warp's address pool (slot i holds
+     * lane i's address; slots whose laneMask bit is clear are
+     * don't-care). Unused by compute ops.
+     */
+    std::uint32_t addrBase = 0;
     /** Active lanes of a mem op: bit i set means lane i participates. */
     std::uint64_t laneMask = 0;
-    /**
-     * Mem ops: one address slot per warp lane (laneAddrs[i] is lane
-     * i's address; slots whose laneMask bit is clear are don't-care).
-     * Compute ops leave this empty. The coalescer consumes the
-     * (span, laneMask) pair directly.
-     */
-    std::vector<Addr> laneAddrs;
 };
 
 /**
- * A warp as handed over by the dispatcher: merged instruction stream
- * plus initial pipeline state. The SM unpacks it into its SoA arrays
- * on refill; this struct is the handoff/test-construction type, not
- * the resident representation.
+ * A warp as handed over by the dispatcher: merged instruction stream,
+ * its lane-address pool and initial pipeline state. The SM owns one
+ * Warp per resident slot and has the source fill a retired one in
+ * place, so the vectors keep their capacity from warp to warp. The
+ * pipeline state is unpacked into the SM's SoA arrays on refill;
+ * only `instrs`, `addrs` and `threads` are read after that.
  */
 struct Warp
 {
     std::vector<WarpInstr> instrs;
+    /** Lane-address pool: each mem op owns `threads` slots. */
+    std::vector<Addr> addrs;
     std::size_t pc = 0;
     std::uint32_t computeLeft = 0; ///< remaining issues of current op
     Tick blockedUntil = 0;
@@ -75,6 +80,30 @@ struct Warp
                           ///< partial)
 
     bool done() const { return pc >= instrs.size(); }
+
+    /**
+     * Append a mem op over the lanes of @p mask and return its
+     * `threads` zero-filled address slots (valid until the next
+     * append). Set `threads` first.
+     */
+    std::span<Addr>
+    appendMem(ThreadOp::Kind kind, std::uint64_t mask)
+    {
+        WarpInstr wi;
+        wi.kind = kind;
+        wi.addrBase = static_cast<std::uint32_t>(addrs.size());
+        wi.laneMask = mask;
+        instrs.push_back(wi);
+        addrs.resize(addrs.size() + threads, 0);
+        return {addrs.data() + wi.addrBase, threads};
+    }
+
+    /** The address slots of mem op @p wi. */
+    std::span<const Addr>
+    laneAddrs(const WarpInstr &wi) const
+    {
+        return {addrs.data() + wi.addrBase, threads};
+    }
 };
 
 /**
@@ -143,13 +172,6 @@ class StreamingMultiprocessor : public sim::Clocked
     static void clearDefaultIssuePathOverride();
 
   private:
-    /** Cold per-warp state the issue scan never touches. */
-    struct WarpBody
-    {
-        std::vector<WarpInstr> instrs;
-        unsigned threads = 0;
-    };
-
     /**
      * Promote blocked slots whose blockedUntil has arrived into
      * readyMask and re-derive blockedMin over the rest. No-op (one
@@ -160,20 +182,31 @@ class StreamingMultiprocessor : public sim::Clocked
     void advanceReady(Tick now);
 
     /**
+     * Set the readyMask bits of the @p slots whose blockedUntil has
+     * arrived; return the minimum blockedUntil of the others.
+     */
+    Tick promoteDue(std::uint64_t slots, Tick now);
+
+    /**
      * Issue slot @p s's current instruction. The caller guarantees
      * the slot is ready and not done; mask/blockedMin bookkeeping for
      * the slot's new blockedUntil happens here.
      */
     void issueSlot(std::size_t s, Tick now);
 
-    /** Execute a memory warp instruction; returns block-until tick. */
-    Tick executeMem(const WarpInstr &wi, Tick now);
+    /**
+     * Execute a memory warp instruction over its lane-address slots
+     * @p lanes; returns block-until tick.
+     */
+    Tick executeMem(const WarpInstr &wi, std::span<const Addr> lanes,
+                    Tick now);
 
     /**
      * Remove the slots of @p retire, preserving the relative order of
      * the survivors (an order-preserving two-pointer compaction — a
      * swap-with-back would permute round-robin issue order and break
-     * the byte-identical-stats mandate; see DESIGN).
+     * the byte-identical-stats mandate; see DESIGN). The retired
+     * slots' warps go back on `freeWarps` for refill() to reuse.
      */
     void compactRetired(std::uint64_t retire);
 
@@ -200,26 +233,51 @@ class StreamingMultiprocessor : public sim::Clocked
     KernelStats *kstats = nullptr;
 
     /**
-     * Resident warps in SoA layout, index = slot. `body` holds the
-     * cold halves (instruction vectors, thread counts); the packed
-     * arrays below are everything the per-cycle scan reads, so the
-     * scan streams over ~n*16 bytes instead of n fat structs.
+     * The cold half of every warp (instruction and address vectors,
+     * thread count), one per resident slot the SM can hold. A slot
+     * names its warp by index (`body`), so retirement compaction moves
+     * one byte per slot and a retired warp's vectors stay where they
+     * are until refill() hands them to the next warp.
+     */
+    std::vector<Warp> warps;
+    /** Indices into `warps` no resident slot is using. */
+    std::vector<std::uint8_t> freeWarps;
+
+    /**
+     * Resident warps in SoA layout, index = slot. `body` names each
+     * slot's cold half in `warps`; the packed arrays below are
+     * everything the per-cycle scan reads, so the scan streams over
+     * ~n*16 bytes instead of n fat structs.
      * Invariants (outside tick()):
      *  - readyMask bit s set  ⇔ wBlocked[s] <= some past now (ticks
      *    are monotone, so ready slots never revert on their own);
      *  - doneMask bit s set   ⇔ wPc[s] >= wNumInstrs[s];
-     *  - blockedMin == exact min wBlocked[] over slots NOT in
-     *    readyMask (tickNever when none);
+     *  - farMask ⊆ blocked slots: those that blocked for more than
+     *    kNearHorizon ticks (memory waits) or arrived blocked;
+     *  - nearMin / farMin == exact min wBlocked[] over the blocked
+     *    slots outside / inside farMask (tickNever when none);
+     *  - blockedMin == min(nearMin, farMin) == exact min wBlocked[]
+     *    over slots NOT in readyMask (tickNever when none);
      *  - masks never carry bits >= body.size().
      */
-    std::vector<WarpBody> body;
+    std::vector<std::uint8_t> body;
     std::vector<Tick> wBlocked;
     std::vector<std::uint32_t> wPc;
     std::vector<std::uint32_t> wComputeLeft;
     std::vector<std::uint32_t> wNumInstrs;
     std::uint64_t readyMask = 0;
     std::uint64_t doneMask = 0;
+    std::uint64_t farMask = 0;
+    Tick nearMin = tickNever;
+    Tick farMin = tickNever;
     Tick blockedMin = tickNever;
+    /**
+     * Blocks longer than this are "far" (memory waits): advanceReady
+     * rescans them only when farMin comes due, not whenever a short
+     * ALU dependence wait ends. Any split gives the same promotions;
+     * this one only decides how often each class is scanned.
+     */
+    static constexpr Tick kNearHorizon = 32;
 
     std::size_t rrCursor = 0;
     bool sourceDry = true;

@@ -169,7 +169,7 @@ struct ExecutorOptions
      * with "<traceDir>/<sanitized label>.trace.json" and
      * ".timeseries.csv". Empty leaves pathless runs unexported.
      */
-    std::string traceDir;
+    std::string traceDir = {};
 };
 
 /** The resolved worker count runPlan() would use for @p opts. */

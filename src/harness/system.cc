@@ -124,6 +124,10 @@ System::interconnect()
     return *icnLink;
 }
 
+// GCC 12 false positive (GCC bug 105329): -Wrestrict inside the
+// std::string memcpy inlined from the channel-prefix concatenation.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wrestrict"
 void
 System::attachTrace()
 {
@@ -142,6 +146,7 @@ System::attachTrace()
     if (icnLink)
         icnLink->attachTrace(*sink);
 }
+#pragma GCC diagnostic pop
 
 energy::Activity
 System::activitySnapshot(DeviceId d) const

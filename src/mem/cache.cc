@@ -9,6 +9,109 @@
 namespace scusim::mem
 {
 
+std::size_t
+InflightTable::probe(Addr line) const
+{
+    const std::size_t mask = slots.size() - 1;
+    std::size_t i = home(line);
+    while (used(slots[i]) && slots[i].line != line)
+        i = (i + 1) & mask;
+    return i;
+}
+
+Tick *
+InflightTable::find(Addr line)
+{
+    Slot &s = slots[probe(line)];
+    return used(s) ? &s.fill : nullptr;
+}
+
+void
+InflightTable::set(Addr line, Tick fill)
+{
+    std::size_t i = probe(line);
+    if (!used(slots[i])) {
+        // Load factor stays at or below one half.
+        if (2 * (count + 1) > slots.size()) {
+            grow();
+            i = probe(line);
+        }
+        slots[i].line = line;
+        slots[i].gen = gen;
+        ++count;
+    }
+    slots[i].fill = fill;
+}
+
+void
+InflightTable::erase(Addr line)
+{
+    const std::size_t i = probe(line);
+    if (used(slots[i]))
+        eraseSlot(i);
+}
+
+void
+InflightTable::eraseSlot(std::size_t i)
+{
+    // Backward shift: pull each later entry of the probe run into the
+    // hole unless that would put it before its home slot, so lookups
+    // never need tombstones.
+    const std::size_t mask = slots.size() - 1;
+    for (std::size_t j = (i + 1) & mask; used(slots[j]);
+         j = (j + 1) & mask) {
+        if (((j - home(slots[j].line)) & mask) >= ((j - i) & mask)) {
+            slots[i] = slots[j];
+            i = j;
+        }
+    }
+    slots[i].gen = 0;
+    --count;
+}
+
+void
+InflightTable::eraseUpTo(Tick t)
+{
+    // An erase may shift a later entry into slot i, so slot i is
+    // re-examined until it holds a survivor or nothing. An entry not
+    // yet visited only ever shifts into slot i or past it; one that
+    // wraps round from the table's start was visited and kept, and is
+    // merely examined again.
+    for (std::size_t i = 0; i < slots.size() && count;) {
+        if (used(slots[i]) && slots[i].fill <= t)
+            eraseSlot(i);
+        else
+            ++i;
+    }
+}
+
+void
+InflightTable::clear()
+{
+    count = 0;
+    if (++gen == 0) {
+        // Generation wrap: forget every stamp before reusing them.
+        for (Slot &s : slots)
+            s.gen = 0;
+        gen = 1;
+    }
+}
+
+void
+InflightTable::grow()
+{
+    std::vector<Slot> old(slots.size() * 2);
+    old.swap(slots);
+    shift -= 1;
+    count = 0;
+    for (const Slot &s : old) {
+        if (used(s)) {
+            slots[probe(s.line)] = s;
+            ++count;
+        }
+    }
+}
+
 Cache::Cache(const CacheParams &params, MemLevel *downstream,
              stats::StatGroup *parent)
     : p(params), next(downstream),
@@ -26,7 +129,8 @@ Cache::Cache(const CacheParams &params, MemLevel *downstream,
     panic_if(numSets == 0, "cache '%s' smaller than one set",
              p.name.c_str());
     panic_if(!isPowerOf2(p.lineBytes), "line size must be 2^n");
-    sets.assign(numSets, std::vector<Line>(p.ways));
+    lineShift = floorLog2(p.lineBytes);
+    lines.assign(static_cast<std::size_t>(numSets) * p.ways, Line{});
     bankFree.assign(std::max(1u, p.banks), 0);
 }
 
@@ -36,14 +140,14 @@ Cache::setIndex(Addr line_addr) const
     // Hash the set index so power-of-two strides (CSR offsets, hash
     // table rows) do not pathologically alias.
     return static_cast<unsigned>(
-        mixBits(line_addr / p.lineBytes) % numSets);
+        mixBits(line_addr >> lineShift) % numSets);
 }
 
 Tick
 Cache::reserveBank(Tick issue, Addr line_addr, Tick occupancy)
 {
     unsigned bank = static_cast<unsigned>(
-        (line_addr / p.lineBytes) % bankFree.size());
+        (line_addr >> lineShift) % bankFree.size());
     Tick start = std::max(issue, bankFree[bank]);
     bankFree[bank] = start + occupancy;
     return start;
@@ -64,11 +168,10 @@ Cache::acquireMshr(Tick start)
     return start;
 }
 
-Tick
-Cache::fill(Tick start, Addr line_addr, std::vector<Line> &set,
-            std::uint64_t tag, unsigned set_idx, unsigned bytes)
+Cache::Fill
+Cache::fill(Tick start, Addr line_addr, std::span<Line> set,
+            std::uint64_t tag, unsigned bytes)
 {
-    (void)set_idx;
     // Victim selection: LRU among the ways; lines in the protected
     // (way-locked) region are only victimized by protected fills.
     const bool filler_protected = isProtected(line_addr);
@@ -91,7 +194,7 @@ Cache::fill(Tick start, Addr line_addr, std::vector<Line> &set,
         sim::checkMemCompletion("cache downstream", start,
                                 down.complete);
         outstanding.push(down.complete);
-        return down.complete;
+        return {down.complete, nullptr};
     }
     if (victim->valid && victim->dirty) {
         // Write back the victim. The requester does not wait for it;
@@ -108,12 +211,13 @@ Cache::fill(Tick start, Addr line_addr, std::vector<Line> &set,
     victim->tag = tag;
     victim->valid = true;
     victim->dirty = false;
+    victim->mayBeInflight = true;
     victim->lastUse = ++lruClock;
 
     Tick done = down.complete;
     outstanding.push(done);
-    inflight[line_addr] = done;
-    return done;
+    inflight.set(line_addr, done);
+    return {done, victim};
 }
 
 MemResult
@@ -121,9 +225,10 @@ Cache::access(Tick issue, Addr addr, AccessKind kind, unsigned bytes)
 {
     (void)bytes;
     const Addr line_addr = alignDown(addr, p.lineBytes);
-    const std::uint64_t tag = line_addr / p.lineBytes;
-    const unsigned set_idx = setIndex(line_addr);
-    auto &set = sets[set_idx];
+    const std::uint64_t tag = line_addr >> lineShift;
+    const std::span<Line> set(
+        lines.data() + static_cast<std::size_t>(setIndex(line_addr)) * p.ways,
+        p.ways);
 
     Tick occupancy = p.bankCycle +
         (kind == AccessKind::Atomic ? p.atomicExtra : 0);
@@ -132,9 +237,7 @@ Cache::access(Tick issue, Addr addr, AccessKind kind, unsigned bytes)
     // Keep the in-flight merge table from growing without bound.
     if (++accessesSincePurge >= 8192) {
         accessesSincePurge = 0;
-        std::erase_if(inflight, [issue](const auto &kv) {
-            return kv.second <= issue;
-        });
+        inflight.eraseUpTo(issue);
     }
 
     if (kind == AccessKind::Atomic)
@@ -157,12 +260,15 @@ Cache::access(Tick issue, Addr addr, AccessKind kind, unsigned bytes)
             // A hit on a line whose fill is still in flight waits for
             // the fill (secondary miss merged into the MSHR).
             Tick avail = start + p.hitLatency;
-            auto it = inflight.find(line_addr);
-            if (it != inflight.end()) {
-                if (it->second > start)
-                    avail = std::max(avail, it->second);
-                else
-                    inflight.erase(it);
+            if (l.mayBeInflight) {
+                const Tick *fill_tick = inflight.find(line_addr);
+                if (fill_tick && *fill_tick > start) {
+                    avail = std::max(avail, *fill_tick);
+                } else {
+                    if (fill_tick)
+                        inflight.erase(line_addr);
+                    l.mayBeInflight = false;
+                }
             }
             r.complete = is_write ? start + 1 : avail;
             return r;
@@ -217,6 +323,8 @@ Cache::access(Tick issue, Addr addr, AccessKind kind, unsigned bytes)
         victim->tag = tag;
         victim->valid = true;
         victim->dirty = true;
+        // An entry from the line's previous stay may still be live.
+        victim->mayBeInflight = true;
         victim->lastUse = ++lruClock;
         MemResult wr;
         wr.hit = false;
@@ -225,21 +333,15 @@ Cache::access(Tick issue, Addr addr, AccessKind kind, unsigned bytes)
     }
 
     start = acquireMshr(start);
-    Tick fill_done = fill(start, line_addr, set, tag, set_idx, bytes);
+    const Fill f = fill(start, line_addr, set, tag, bytes);
 
     // Mark dirtiness after the fill installed the line.
-    if (!is_read) {
-        for (auto &l : set) {
-            if (l.valid && l.tag == tag) {
-                l.dirty = true;
-                break;
-            }
-        }
-    }
+    if (!is_read && f.line)
+        f.line->dirty = true;
 
     MemResult r;
     r.hit = false;
-    r.complete = is_write ? start + 1 : fill_done + p.hitLatency;
+    r.complete = is_write ? start + 1 : f.done + p.hitLatency;
     sim::checkMemCompletion(p.name.c_str(), issue, r.complete);
     return r;
 }
@@ -247,17 +349,15 @@ Cache::access(Tick issue, Addr addr, AccessKind kind, unsigned bytes)
 void
 Cache::invalidateAll(Tick now)
 {
-    for (auto &set : sets) {
-        for (auto &l : set) {
-            // Timing model only: dirty data is not lost functionally,
-            // but the writeback traffic must be accounted.
-            if (l.valid && l.dirty) {
-                next->access(now, l.tag * p.lineBytes,
-                             AccessKind::Write, p.lineBytes);
-                ++writebacks;
-            }
-            l = Line{};
+    for (auto &l : lines) {
+        // Timing model only: dirty data is not lost functionally, but
+        // the writeback traffic must be accounted.
+        if (l.valid && l.dirty) {
+            next->access(now, l.tag * p.lineBytes, AccessKind::Write,
+                         p.lineBytes);
+            ++writebacks;
         }
+        l = Line{};
     }
     inflight.clear();
 }

@@ -13,10 +13,11 @@
 #define SCUSIM_MEM_CACHE_HH
 
 #include <queue>
+#include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
+#include "common/bits.hh"
 #include "common/types.hh"
 #include "mem/request.hh"
 #include "stats/stats.hh"
@@ -36,6 +37,62 @@ struct CacheParams
     Tick bankCycle = 1;       ///< bank occupancy per access
     Tick atomicExtra = 4;     ///< extra occupancy for read-modify-write
     unsigned mshrs = 128;     ///< max misses in flight
+};
+
+/**
+ * In-flight line fills for secondary-miss merging: a flat
+ * open-addressed line→fill-tick map with power-of-two capacity,
+ * linear probing and backward-shift erase. Every slot carries the
+ * generation it was written in, so clear() — each L1 invalidation at
+ * a kernel boundary — costs O(1) however far the table once grew.
+ * Capacity is kept across clears and erases, so a table that has
+ * reached its working size allocates nothing.
+ */
+class InflightTable
+{
+  public:
+    InflightTable() { slots.resize(kMinSlots); }
+
+    /** The fill tick recorded for @p line, or null. */
+    Tick *find(Addr line);
+    /** Record @p line's fill tick, overwriting any earlier one. */
+    void set(Addr line, Tick fill);
+    /** Drop @p line's entry, if any. */
+    void erase(Addr line);
+    /** Drop every entry whose fill tick is <= @p t. */
+    void eraseUpTo(Tick t);
+    void clear();
+    std::size_t size() const { return count; }
+
+  private:
+    struct Slot
+    {
+        Addr line = 0;
+        Tick fill = 0;
+        std::uint32_t gen = 0; ///< occupied iff == the table's gen
+    };
+    static constexpr std::size_t kMinSlots = 64;
+
+    bool used(const Slot &s) const { return s.gen == gen; }
+
+    std::size_t
+    home(Addr line) const
+    {
+        // Fibonacci multiply-shift to the table's index bits.
+        return static_cast<std::size_t>(
+            (static_cast<std::uint64_t>(line) * 0x9E3779B97F4A7C15ull) >>
+            shift);
+    }
+
+    /** Slot holding @p line, else the empty slot ending its run. */
+    std::size_t probe(Addr line) const;
+    void eraseSlot(std::size_t i);
+    void grow();
+
+    std::vector<Slot> slots;
+    unsigned shift = 64 - floorLog2(kMinSlots);
+    std::size_t count = 0;
+    std::uint32_t gen = 1; ///< never 0, the mark of an erased slot
 };
 
 /**
@@ -89,6 +146,13 @@ class Cache : public MemLevel
         std::uint64_t tag = static_cast<std::uint64_t>(-1);
         bool valid = false;
         bool dirty = false;
+        /**
+         * False only once a hit has found no in-flight entry for this
+         * line (or dropped an expired one): until the line is
+         * installed again, no entry for it can exist, so hits skip
+         * the table lookup. Every install sets it.
+         */
+        bool mayBeInflight = false;
         Tick lastUse = 0;
     };
 
@@ -98,23 +162,34 @@ class Cache : public MemLevel
     /** Block until an MSHR is free; returns the adjusted start tick. */
     Tick acquireMshr(Tick start);
 
-    /** Bring a line in from downstream; returns fill-complete tick. */
-    Tick fill(Tick start, Addr line_addr, std::vector<Line> &set,
-              std::uint64_t tag, unsigned set_idx, unsigned bytes);
+    /**
+     * A fill's completion tick and the line it installed; null when
+     * every way is pinned and the fill bypassed the set.
+     */
+    struct Fill
+    {
+        Tick done;
+        Line *line;
+    };
+
+    /** Bring a line in from downstream into a victim of @p set. */
+    Fill fill(Tick start, Addr line_addr, std::span<Line> set,
+              std::uint64_t tag, unsigned bytes);
 
     unsigned setIndex(Addr line_addr) const;
 
     CacheParams p;
     MemLevel *next;
     unsigned numSets;
-    std::vector<std::vector<Line>> sets;
+    unsigned lineShift; ///< log2(lineBytes)
+    std::vector<Line> lines; ///< numSets x ways, one set after another
     std::vector<Tick> bankFree;
 
     /** Completion ticks of outstanding misses (MSHR occupancy). */
     std::priority_queue<Tick, std::vector<Tick>, std::greater<Tick>>
         outstanding;
     /** In-flight line fills, for secondary-miss merging. */
-    std::unordered_map<Addr, Tick> inflight;
+    InflightTable inflight;
     Tick lruClock = 0;
     std::uint64_t accessesSincePurge = 0;
     Addr protBase = 0;

@@ -106,7 +106,7 @@ struct RunRequest
      * Whitespace in paths is not representable on this line-oriented
      * wire and is rejected at submit time. Empty = dataset run.
      */
-    std::string storeFile;
+    std::string storeFile = {};
 };
 
 std::string encodeRunRequest(const RunRequest &req);

@@ -48,6 +48,10 @@ struct Device
     std::string name;
 };
 
+// GCC 12 false positive (GCC bug 105329): -Wrestrict inside the
+// std::string memcpy inlined from the "d<k>." name concatenation.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wrestrict"
 Device
 deviceFor(const std::string &channel)
 {
@@ -77,6 +81,7 @@ deviceFor(const std::string &channel)
     }
     return {0, "sim"};
 }
+#pragma GCC diagnostic pop
 
 void
 writeEvent(std::ostream &os, bool &first, const std::string &body)

@@ -2,11 +2,15 @@
  * @file
  * Unit tests for the memory hierarchy: address space, coalescer,
  * cache behaviour (hits, LRU, writebacks, MSHRs, way-locking,
- * streaming bypass) and the DRAM timing model (bandwidth cap, row
- * buffer locality).
+ * streaming bypass, in-flight fill merging) and the DRAM timing
+ * model (bandwidth cap, row buffer locality).
  */
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <unordered_map>
+#include <vector>
 
 #include "common/rng.hh"
 #include "mem/address_space.hh"
@@ -333,6 +337,206 @@ TEST(Cache, MshrLimitDelaysBursts)
         last = std::max(last, r.complete);
     }
     EXPECT_GT(last, 400u);
+}
+
+TEST(CacheInflight, HitOnFillInFlightCompletesAtFillTick)
+{
+    FakeMem dram;
+    stats::StatGroup g("t");
+    Cache c(smallCache(), &dram, &g);
+
+    // The miss installs the line at once; its fill lands at 200.
+    const auto miss = c.access(0, 0x1000, AccessKind::Read, 128);
+    EXPECT_FALSE(miss.hit);
+    EXPECT_EQ(miss.complete, 200u + smallCache().hitLatency);
+    // A hit while the fill is in flight waits for the fill itself.
+    const auto merged = c.access(5, 0x1000, AccessKind::Read, 128);
+    EXPECT_TRUE(merged.hit);
+    EXPECT_EQ(merged.complete, 200u);
+    EXPECT_EQ(dram.reads, 1);
+}
+
+TEST(CacheInflight, HitAfterFillCostsHitLatency)
+{
+    FakeMem dram;
+    stats::StatGroup g("t");
+    const CacheParams p = smallCache();
+    Cache c(p, &dram, &g);
+
+    c.access(0, 0x1000, AccessKind::Read, 128); // fill lands at 200
+    const auto late = c.access(300, 0x1000, AccessKind::Read, 128);
+    EXPECT_TRUE(late.hit);
+    EXPECT_EQ(late.complete, 300 + p.hitLatency);
+}
+
+TEST(CacheInflight, InvalidateAllForgetsFillsInFlight)
+{
+    const CacheParams p = smallCache();
+    // A write-validate store re-installs the line without a fill, so
+    // a following read hit waits only if the old fill is remembered.
+    auto reread = [&p](bool invalidate) {
+        FakeMem dram;
+        stats::StatGroup g("t");
+        Cache c(p, &dram, &g);
+        c.access(0, 0x1000, AccessKind::Read, 128); // fill at 200
+        if (invalidate)
+            c.invalidateAll(1);
+        c.access(2, 0x1000, AccessKind::Write, 128);
+        const auto r = c.access(5, 0x1000, AccessKind::Read, 128);
+        EXPECT_TRUE(r.hit);
+        return r.complete;
+    };
+    EXPECT_EQ(reread(false), 200u);
+    EXPECT_EQ(reread(true), 5 + p.hitLatency);
+}
+
+TEST(InflightTable, RandomOpsMatchUnorderedMap)
+{
+    // The table's own mechanics against a std::unordered_map: probing,
+    // growth, backward-shift erase, threshold purge and the
+    // generation-stamped clear. The cache-level trace below only sees
+    // entries that a later hit consults; this sees every entry.
+    InflightTable t;
+    std::unordered_map<Addr, Tick> model;
+    Rng rng(0x7ab1e);
+    std::size_t peak = 0;
+    for (int k = 0; k < 200000; ++k) {
+        const Addr line = rng.below(1 << 12) * 128;
+        const std::uint64_t op = rng.below(1000);
+        if (op < 450) {
+            const Tick fill = rng.below(1 << 16);
+            t.set(line, fill);
+            model[line] = fill;
+        } else if (op < 700) {
+            t.erase(line);
+            model.erase(line);
+        } else if (op < 705) {
+            const Tick cut = rng.below(1 << 16);
+            t.eraseUpTo(cut);
+            std::erase_if(model, [cut](const auto &kv) {
+                return kv.second <= cut;
+            });
+        } else if (op < 706) {
+            t.clear();
+            model.clear();
+        } else {
+            const Tick *got = t.find(line);
+            const auto it = model.find(line);
+            ASSERT_EQ(got != nullptr, it != model.end()) << "op " << k;
+            if (got) {
+                ASSERT_EQ(*got, it->second) << "op " << k;
+            }
+        }
+        ASSERT_EQ(t.size(), model.size()) << "op " << k;
+        peak = std::max(peak, model.size());
+    }
+    for (const auto &[line, fill] : model) {
+        const Tick *got = t.find(line);
+        ASSERT_NE(got, nullptr) << "lost line " << line;
+        EXPECT_EQ(*got, fill);
+    }
+    EXPECT_GT(peak, 256u) << "the table never had to grow";
+}
+
+namespace
+{
+
+/** Backing store with a random read latency, so fills overlap. */
+class JitterMem : public MemLevel
+{
+  public:
+    MemResult
+    access(Tick issue, Addr, AccessKind kind, unsigned) override
+    {
+        if (kind == AccessKind::Write ||
+            kind == AccessKind::WriteNoAlloc)
+            return {issue + 1, false};
+        return {issue + rng.range(20, 600), false};
+    }
+
+  private:
+    Rng rng{0x1f1a7};
+};
+
+} // namespace
+
+TEST(CacheInflight, RandomTraceMatchesUnorderedMapModel)
+{
+    // The cache's in-flight table against a std::unordered_map model
+    // of the same rules: a hit waits for its line's fill if that is
+    // still ahead of the access's bank start, and otherwise drops the
+    // entry; every 8192nd access purges the entries whose fill is at
+    // or before its issue tick. Hits and fill ticks come from the
+    // cache itself (the tag array is not under test); the model
+    // predicts every hit's completion tick.
+    CacheParams p = smallCache();
+    p.ways = 4;    // 8 sets x 4 ways: a 96-line hot set misses often
+    p.banks = 4;   // per-bank starts let issue order run backwards
+    p.mshrs = 1 << 20; // no MSHR stalls: bank start is the start
+    JitterMem dram;
+    stats::StatGroup g("t");
+    Cache c(p, &dram, &g);
+
+    std::unordered_map<Addr, Tick> inflight;
+    std::vector<Tick> bankFree(p.banks, 0);
+    std::uint64_t since_purge = 0;
+    unsigned purges = 0, waited = 0, expired = 0;
+    std::size_t peak = 0;
+
+    Rng rng(0xcac4e);
+    Tick base = 0;
+    const int accesses = 3 * 8192 + 5000;
+    for (int k = 0; k < accesses; ++k) {
+        base += rng.below(3);
+        const Tick issue = base + rng.below(256);
+        // A hot set that hits, plus cold lines whose fills pile up
+        // in the table until a purge drops them.
+        const Addr line =
+            (rng.chance(0.7) ? rng.below(96) : rng.below(1 << 20)) *
+            p.lineBytes;
+        const std::uint64_t roll = rng.below(10);
+        const AccessKind kind = roll < 7   ? AccessKind::Read
+                                : roll < 9 ? AccessKind::Atomic
+                                           : AccessKind::Write;
+
+        const Tick occupancy =
+            p.bankCycle +
+            (kind == AccessKind::Atomic ? p.atomicExtra : 0);
+        Tick &free = bankFree[(line / p.lineBytes) % p.banks];
+        const Tick start = std::max(issue, free);
+        free = start + occupancy;
+        if (++since_purge >= 8192) {
+            since_purge = 0;
+            ++purges;
+            std::erase_if(inflight, [issue](const auto &kv) {
+                return kv.second <= issue;
+            });
+        }
+
+        const MemResult r = c.access(issue, line + 4, kind, 4);
+        if (r.hit) {
+            Tick avail = start + p.hitLatency;
+            if (auto it = inflight.find(line); it != inflight.end()) {
+                if (it->second > start) {
+                    avail = std::max(avail, it->second);
+                    ++waited;
+                } else {
+                    inflight.erase(it);
+                    ++expired;
+                }
+            }
+            const Tick want =
+                kind == AccessKind::Write ? start + 1 : avail;
+            ASSERT_EQ(r.complete, want) << "access " << k;
+        } else if (kind != AccessKind::Write) {
+            inflight[line] = r.complete - p.hitLatency;
+            peak = std::max(peak, inflight.size());
+        }
+    }
+    EXPECT_GE(purges, 3u);
+    EXPECT_GT(waited, 100u);
+    EXPECT_GT(expired, 100u);
+    EXPECT_GT(peak, 1000u) << "the table never had to grow";
 }
 
 TEST(Dram, RowBufferLocality)

@@ -170,15 +170,12 @@ buildTestWarp(std::uint64_t i, gpu::Warp &out)
 
     auto mem_instr = [&](gpu::ThreadOp::Kind kind, std::uint64_t mask,
                          auto addr_of) {
-        gpu::WarpInstr wi;
-        wi.kind = kind;
-        wi.laneMask = mask & full;
-        wi.laneAddrs.assign(threads, 0);
-        for (std::uint64_t m = wi.laneMask; m; m &= m - 1) {
+        const std::span<Addr> slots =
+            out.appendMem(kind, mask & full);
+        for (std::uint64_t m = mask & full; m; m &= m - 1) {
             const unsigned l = ctz64(m);
-            wi.laneAddrs[l] = addr_of(l);
+            slots[l] = addr_of(l);
         }
-        out.instrs.push_back(std::move(wi));
     };
 
     gpu::WarpInstr c;

@@ -12,6 +12,8 @@
 #include <map>
 #include <numeric>
 #include <set>
+#include <string>
+#include <tuple>
 
 #include "common/rng.hh"
 #include "graph/datasets.hh"
@@ -340,9 +342,12 @@ INSTANTIATE_TEST_SUITE_P(Streams, DramProperty,
 // Generator properties across scales.
 // ----------------------------------------------------------------
 
-class GeneratorScaleProperty
-    : public ::testing::TestWithParam<
-          std::tuple<const char *, double>>
+// The dataset name is a std::string, not a const char *: gtest
+// prints a pointer parameter as its address, which varies per run
+// and would leak into the discovered test names.
+using ScaleParam = std::tuple<std::string, double>;
+
+class GeneratorScaleProperty : public ::testing::TestWithParam<ScaleParam>
 {
 };
 
@@ -359,7 +364,24 @@ TEST_P(GeneratorScaleProperty, DegreePreservedUnderScaling)
     EXPECT_NEAR(g.averageDegree(), want_deg, want_deg * 0.35);
 }
 
+namespace
+{
+
+/** Names such as "ca_1pct": dataset and scale in percent. */
+std::string
+scaleName(const ::testing::TestParamInfo<ScaleParam> &info)
+{
+    const auto &[name, scale] = info.param;
+    return name + "_" +
+           std::to_string(static_cast<int>(scale * 100 + 0.5)) + "pct";
+}
+
+} // namespace
+
 INSTANTIATE_TEST_SUITE_P(
     ScaleSweep, GeneratorScaleProperty,
-    ::testing::Combine(::testing::Values("ca", "cond", "kron"),
-                       ::testing::Values(0.01, 0.03, 0.06)));
+    ::testing::Combine(::testing::Values(std::string("ca"),
+                                         std::string("cond"),
+                                         std::string("kron")),
+                       ::testing::Values(0.01, 0.03, 0.06)),
+    scaleName);

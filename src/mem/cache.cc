@@ -115,9 +115,6 @@ InflightTable::grow()
 Cache::Cache(const CacheParams &params, MemLevel *downstream,
              stats::StatGroup *parent)
     : p(params), next(downstream),
-      numSets(static_cast<unsigned>(
-          p.sizeBytes / (static_cast<std::uint64_t>(p.lineBytes) *
-                         p.ways))),
       grp(p.name, parent),
       hits(&grp, "hits", "accesses serviced by this level"),
       misses(&grp, "misses", "accesses forwarded downstream"),
@@ -126,30 +123,31 @@ Cache::Cache(const CacheParams &params, MemLevel *downstream,
       mshrStallCycles(&grp, "mshr_stall_cycles",
                       "cycles accesses waited for a free MSHR")
 {
-    panic_if(numSets == 0, "cache '%s' smaller than one set",
+    const std::uint64_t num_sets =
+        p.sizeBytes / (static_cast<std::uint64_t>(p.lineBytes) * p.ways);
+    panic_if(num_sets == 0, "cache '%s' smaller than one set",
              p.name.c_str());
     panic_if(!isPowerOf2(p.lineBytes), "line size must be 2^n");
+    // Set and bank selection are masks, not divisions.
+    panic_if(!isPowerOf2(num_sets), "cache '%s': set count %llu must be 2^n",
+             p.name.c_str(), static_cast<unsigned long long>(num_sets));
+    const unsigned banks = std::max(1u, p.banks);
+    panic_if(!isPowerOf2(banks), "cache '%s': bank count %u must be 2^n",
+             p.name.c_str(), banks);
+    setMask = num_sets - 1;
     lineShift = floorLog2(p.lineBytes);
-    lines.assign(static_cast<std::size_t>(numSets) * p.ways, Line{});
-    bankFree.assign(std::max(1u, p.banks), 0);
-}
-
-unsigned
-Cache::setIndex(Addr line_addr) const
-{
-    // Hash the set index so power-of-two strides (CSR offsets, hash
-    // table rows) do not pathologically alias.
-    return static_cast<unsigned>(
-        mixBits(line_addr >> lineShift) % numSets);
+    tags.assign(num_sets * p.ways, kInvalidTag);
+    lines.assign(num_sets * p.ways, Line{});
+    bankFree.assign(banks, 0);
+    bankMask = banks - 1;
 }
 
 Tick
 Cache::reserveBank(Tick issue, Addr line_addr, Tick occupancy)
 {
-    unsigned bank = static_cast<unsigned>(
-        (line_addr >> lineShift) % bankFree.size());
-    Tick start = std::max(issue, bankFree[bank]);
-    bankFree[bank] = start + occupancy;
+    Tick &free_at = bankFree[(line_addr >> lineShift) & bankMask];
+    Tick start = std::max(issue, free_at);
+    free_at = start + occupancy;
     return start;
 }
 
@@ -168,25 +166,52 @@ Cache::acquireMshr(Tick start)
     return start;
 }
 
+Cache::Line &
+Cache::install(std::size_t w, std::uint64_t tag)
+{
+    tags[w] = tag;
+    Line &l = lines[w];
+    l.dirty = false;
+    l.mayBeInflight = true;
+    l.lastUse = ++lruClock;
+    return l;
+}
+
+void
+Cache::writeBackIfDirty(Tick when, std::size_t w)
+{
+    // The requester does not wait for a writeback; it only consumes
+    // downstream bandwidth.
+    if (tags[w] != kInvalidTag && lines[w].dirty) {
+        next->access(when, tags[w] << lineShift, AccessKind::Write,
+                     p.lineBytes);
+        ++writebacks;
+    }
+}
+
 Cache::Fill
-Cache::fill(Tick start, Addr line_addr, std::span<Line> set,
+Cache::fill(Tick start, Addr line_addr, std::size_t set,
             std::uint64_t tag, unsigned bytes)
 {
     // Victim selection: LRU among the ways; lines in the protected
     // (way-locked) region are only victimized by protected fills.
     const bool filler_protected = isProtected(line_addr);
-    Line *victim = nullptr;
-    for (auto &l : set) {
-        if (!l.valid) {
-            victim = &l;
+    std::size_t victim = 0;
+    bool found = false;
+    for (std::size_t w = set; w < set + p.ways; ++w) {
+        if (tags[w] == kInvalidTag) {
+            victim = w;
+            found = true;
             break;
         }
-        if (!filler_protected && isProtected(l.tag * p.lineBytes))
+        if (!filler_protected && isProtected(tags[w] << lineShift))
             continue;
-        if (!victim || l.lastUse < victim->lastUse)
-            victim = &l;
+        if (!found || lines[w].lastUse < lines[victim].lastUse) {
+            victim = w;
+            found = true;
+        }
     }
-    if (!victim) {
+    if (!found) {
         // Every way is pinned: service downstream without
         // allocating.
         MemResult down = next->access(start, line_addr,
@@ -196,28 +221,17 @@ Cache::fill(Tick start, Addr line_addr, std::span<Line> set,
         outstanding.push(down.complete);
         return {down.complete, nullptr};
     }
-    if (victim->valid && victim->dirty) {
-        // Write back the victim. The requester does not wait for it;
-        // it only consumes downstream bandwidth.
-        Addr victim_addr = victim->tag * p.lineBytes;
-        next->access(start, victim_addr, AccessKind::Write,
-                     p.lineBytes);
-        ++writebacks;
-    }
+    writeBackIfDirty(start, victim);
 
     MemResult down = next->access(start, line_addr, AccessKind::Read,
                                   bytes);
     sim::checkMemCompletion("cache downstream", start, down.complete);
-    victim->tag = tag;
-    victim->valid = true;
-    victim->dirty = false;
-    victim->mayBeInflight = true;
-    victim->lastUse = ++lruClock;
+    Line &l = install(victim, tag);
 
     Tick done = down.complete;
     outstanding.push(done);
     inflight.set(line_addr, done);
-    return {done, victim};
+    return {done, &l};
 }
 
 MemResult
@@ -226,9 +240,7 @@ Cache::access(Tick issue, Addr addr, AccessKind kind, unsigned bytes)
     (void)bytes;
     const Addr line_addr = alignDown(addr, p.lineBytes);
     const std::uint64_t tag = line_addr >> lineShift;
-    const std::span<Line> set(
-        lines.data() + static_cast<std::size_t>(setIndex(line_addr)) * p.ways,
-        p.ways);
+    const std::size_t set = setBase(line_addr);
 
     Tick occupancy = p.bankCycle +
         (kind == AccessKind::Atomic ? p.atomicExtra : 0);
@@ -249,30 +261,32 @@ Cache::access(Tick issue, Addr addr, AccessKind kind, unsigned bytes)
                          kind == AccessKind::ReadNoAlloc;
 
     // Tag lookup.
-    for (auto &l : set) {
-        if (l.valid && l.tag == tag) {
-            l.lastUse = ++lruClock;
-            if (!is_read)
-                l.dirty = true;
-            ++hits;
-            MemResult r;
-            r.hit = true;
-            // A hit on a line whose fill is still in flight waits for
-            // the fill (secondary miss merged into the MSHR).
-            Tick avail = start + p.hitLatency;
-            if (l.mayBeInflight) {
-                const Tick *fill_tick = inflight.find(line_addr);
-                if (fill_tick && *fill_tick > start) {
-                    avail = std::max(avail, *fill_tick);
-                } else {
-                    if (fill_tick)
-                        inflight.erase(line_addr);
-                    l.mayBeInflight = false;
-                }
+    const std::uint64_t *set_tags = tags.data() + set;
+    for (unsigned w = 0; w < p.ways; ++w) {
+        if (set_tags[w] != tag)
+            continue;
+        Line &l = lines[set + w];
+        l.lastUse = ++lruClock;
+        if (!is_read)
+            l.dirty = true;
+        ++hits;
+        MemResult r;
+        r.hit = true;
+        // A hit on a line whose fill is still in flight waits for
+        // the fill (secondary miss merged into the MSHR).
+        Tick avail = start + p.hitLatency;
+        if (l.mayBeInflight) {
+            const Tick *fill_tick = inflight.find(line_addr);
+            if (fill_tick && *fill_tick > start) {
+                avail = std::max(avail, *fill_tick);
+            } else {
+                if (fill_tick)
+                    inflight.erase(line_addr);
+                l.mayBeInflight = false;
             }
-            r.complete = is_write ? start + 1 : avail;
-            return r;
         }
+        r.complete = is_write ? start + 1 : avail;
+        return r;
     }
 
     // Miss.
@@ -306,26 +320,19 @@ Cache::access(Tick issue, Addr addr, AccessKind kind, unsigned bytes)
         // Write-validate: a line-granular store allocates the line
         // without fetching it (GPU L2 behaviour); no read-for-
         // ownership traffic is generated.
-        Line *victim = &set[0];
-        for (auto &l : set) {
-            if (!l.valid) {
-                victim = &l;
+        std::size_t victim = set;
+        for (std::size_t w = set; w < set + p.ways; ++w) {
+            if (tags[w] == kInvalidTag) {
+                victim = w;
                 break;
             }
-            if (l.lastUse < victim->lastUse)
-                victim = &l;
+            if (lines[w].lastUse < lines[victim].lastUse)
+                victim = w;
         }
-        if (victim->valid && victim->dirty) {
-            next->access(start, victim->tag * p.lineBytes,
-                         AccessKind::Write, p.lineBytes);
-            ++writebacks;
-        }
-        victim->tag = tag;
-        victim->valid = true;
-        victim->dirty = true;
-        // An entry from the line's previous stay may still be live.
-        victim->mayBeInflight = true;
-        victim->lastUse = ++lruClock;
+        writeBackIfDirty(start, victim);
+        // An entry from the line's previous stay may still be live,
+        // which install() allows for.
+        install(victim, tag).dirty = true;
         MemResult wr;
         wr.hit = false;
         wr.complete = start + 1;
@@ -349,15 +356,12 @@ Cache::access(Tick issue, Addr addr, AccessKind kind, unsigned bytes)
 void
 Cache::invalidateAll(Tick now)
 {
-    for (auto &l : lines) {
+    for (std::size_t w = 0; w < tags.size(); ++w) {
         // Timing model only: dirty data is not lost functionally, but
         // the writeback traffic must be accounted.
-        if (l.valid && l.dirty) {
-            next->access(now, l.tag * p.lineBytes, AccessKind::Write,
-                         p.lineBytes);
-            ++writebacks;
-        }
-        l = Line{};
+        writeBackIfDirty(now, w);
+        tags[w] = kInvalidTag;
+        lines[w] = Line{};
     }
     inflight.clear();
 }

@@ -13,7 +13,6 @@
 #define SCUSIM_MEM_CACHE_HH
 
 #include <queue>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -141,10 +140,13 @@ class Cache : public MemLevel
     double numWritebacks() const { return writebacks.value(); }
 
   private:
+    /** Tag of an invalid way; no line address shifts to all ones. */
+    static constexpr std::uint64_t kInvalidTag =
+        static_cast<std::uint64_t>(-1);
+
+    /** Per-way state besides the tag, which lives in Cache::tags. */
     struct Line
     {
-        std::uint64_t tag = static_cast<std::uint64_t>(-1);
-        bool valid = false;
         bool dirty = false;
         /**
          * False only once a hit has found no in-flight entry for this
@@ -172,18 +174,42 @@ class Cache : public MemLevel
         Line *line;
     };
 
-    /** Bring a line in from downstream into a victim of @p set. */
-    Fill fill(Tick start, Addr line_addr, std::span<Line> set,
+    /**
+     * Bring a line in from downstream into a victim way of the set
+     * whose first way is @p set.
+     */
+    Fill fill(Tick start, Addr line_addr, std::size_t set,
               std::uint64_t tag, unsigned bytes);
 
-    unsigned setIndex(Addr line_addr) const;
+    /** Index of the first way of @p line_addr's set. */
+    std::size_t
+    setBase(Addr line_addr) const
+    {
+        // Hash the set index so power-of-two strides (CSR offsets,
+        // hash table rows) do not pathologically alias.
+        return static_cast<std::size_t>(
+                   mixBits(line_addr >> lineShift) & setMask) *
+               p.ways;
+    }
+
+    /** Install @p tag in way @p w as a clean line. */
+    Line &install(std::size_t w, std::uint64_t tag);
+
+    /** Write back way @p w's line downstream if it is dirty. */
+    void writeBackIfDirty(Tick when, std::size_t w);
 
     CacheParams p;
     MemLevel *next;
-    unsigned numSets;
+    std::uint64_t setMask = 0; ///< set count - 1 (a power of two)
     unsigned lineShift; ///< log2(lineBytes)
-    std::vector<Line> lines; ///< numSets x ways, one set after another
+    /**
+     * Way tags, set count x ways, one set after another; kInvalidTag
+     * marks an invalid way. A hit scans only these.
+     */
+    std::vector<std::uint64_t> tags;
+    std::vector<Line> lines; ///< parallel to tags
     std::vector<Tick> bankFree;
+    std::uint64_t bankMask = 0; ///< bank count - 1 (a power of two)
 
     /** Completion ticks of outstanding misses (MSHR occupancy). */
     std::priority_queue<Tick, std::vector<Tick>, std::greater<Tick>>

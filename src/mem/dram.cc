@@ -52,6 +52,10 @@ Dram::Dram(const DramParams &params, const sim::ClockDomain &clock,
       busCyclesPerLine(std::max<Tick>(1,
           clock.cyclesForBytes(p.lineBytes,
                                p.peakBytesPerSec / p.channels))),
+      lineShift(floorLog2(p.lineBytes)),
+      channelShift(floorLog2(p.channels)),
+      rowShift(floorLog2(p.rowBytes)),
+      bankShift(floorLog2(p.banksPerChannel)),
       chans(p.channels),
       grp("dram", parent),
       reads(&grp, "reads", "line reads serviced"),
@@ -62,38 +66,27 @@ Dram::Dram(const DramParams &params, const sim::ClockDomain &clock,
                     "aggregate channel data-bus busy cycles"),
       movedBytes(&grp, "bytes_moved", "bytes moved on the pins")
 {
+    // The address map and the sectored bus scaling use shifts and
+    // masks, so the geometry must be a power of two throughout.
+    panic_if(!isPowerOf2(p.lineBytes), "%s: line size must be 2^n",
+             p.name.c_str());
+    panic_if(!isPowerOf2(p.channels), "%s: channel count must be 2^n",
+             p.name.c_str());
+    panic_if(!isPowerOf2(p.banksPerChannel),
+             "%s: bank count must be 2^n", p.name.c_str());
+    panic_if(!isPowerOf2(p.rowBytes), "%s: row size must be 2^n",
+             p.name.c_str());
     for (auto &c : chans)
         c.banks.resize(p.banksPerChannel);
-}
-
-void
-Dram::map(Addr addr, unsigned &channel, unsigned &bank,
-          std::uint64_t &row) const
-{
-    // Line-interleave across channels for streaming bandwidth, then
-    // row-granular interleave across banks so sequential streams get
-    // long row hits and bank-level parallelism.
-    std::uint64_t line = addr / p.lineBytes;
-    channel = static_cast<unsigned>(line % p.channels);
-    std::uint64_t addr_in_chan = (line / p.channels) * p.lineBytes;
-    std::uint64_t row_global = addr_in_chan / p.rowBytes;
-    bank = static_cast<unsigned>(row_global % p.banksPerChannel);
-    row = row_global / p.banksPerChannel;
 }
 
 MemResult
 Dram::access(Tick issue, Addr addr, AccessKind kind, unsigned bytes)
 {
-    // Sectored transfers: bus occupancy is proportional to the bytes
-    // moved (GPU L2s fetch 32 B sectors; the hash fills only its set).
-    const unsigned moved =
-        std::min(std::max(bytes, 32u), p.lineBytes);
-    const Tick bus_cycles = std::max<Tick>(
-        1, busCyclesPerLine * moved / p.lineBytes);
+    const unsigned moved = movedBytesOf(bytes);
+    const Tick bus_cycles = busCycles(bytes);
 
-    unsigned ci = 0, bi = 0;
-    std::uint64_t row = 0;
-    map(addr, ci, bi, row);
+    const auto [ci, bi, row] = map(addr);
     Channel &ch = chans[ci];
     Bank &bk = ch.banks[bi];
 

@@ -9,6 +9,7 @@
 #ifndef SCUSIM_MEM_DRAM_HH
 #define SCUSIM_MEM_DRAM_HH
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -61,6 +62,43 @@ class Dram : public MemLevel
 
     const DramParams &params() const { return p; }
 
+    /** Channel, bank and row an address maps to. */
+    struct Coord
+    {
+        unsigned channel;
+        unsigned bank;
+        std::uint64_t row;
+    };
+
+    /**
+     * Line-interleave across channels for streaming bandwidth, then
+     * row-granular interleave across banks so sequential streams get
+     * long row hits and bank-level parallelism.
+     */
+    Coord
+    map(Addr addr) const
+    {
+        const std::uint64_t line = addr >> lineShift;
+        const std::uint64_t row_global =
+            ((line >> channelShift) << lineShift) >> rowShift;
+        return {static_cast<unsigned>(line & (p.channels - 1)),
+                static_cast<unsigned>(row_global &
+                                      (p.banksPerChannel - 1)),
+                row_global >> bankShift};
+    }
+
+    /**
+     * Bus cycles of a sectored transfer: occupancy is proportional
+     * to the bytes moved (GPU L2s fetch 32 B sectors; the hash fills
+     * only its set), at least one cycle.
+     */
+    Tick
+    busCycles(unsigned bytes) const
+    {
+        return std::max<Tick>(1, (busCyclesPerLine * movedBytesOf(bytes))
+                                     >> lineShift);
+    }
+
     /**
      * Attach the run's fault injector (non-owning, null detaches) so
      * DramRefreshStorm faults can park a bank and close its row.
@@ -96,13 +134,18 @@ class Dram : public MemLevel
         std::vector<Bank> banks;
     };
 
-    /** Decompose an address into channel/bank/row coordinates. */
-    void map(Addr addr, unsigned &channel, unsigned &bank,
-             std::uint64_t &row) const;
+    /** Bytes a transfer of @p bytes moves: 32 B up to one line. */
+    unsigned
+    movedBytesOf(unsigned bytes) const
+    {
+        return std::min(std::max(bytes, 32u), p.lineBytes);
+    }
 
     DramParams p;
     Tick tCas, tRcd, tRp, tIo;
     Tick busCyclesPerLine;
+    /** log2 of the power-of-two geometry, fixed at construction. */
+    unsigned lineShift, channelShift, rowShift, bankShift;
     std::vector<Channel> chans;
 
     stats::StatGroup grp;

@@ -1,10 +1,8 @@
 #include "scu/pipeline.hh"
 
 #include <algorithm>
-#include <cstdlib>
+#include <functional>
 
-#include "common/bits.hh"
-#include "common/logging.hh"
 #include "sim/check.hh"
 
 namespace scusim::scu
@@ -15,14 +13,75 @@ namespace
 constexpr Addr noLine = static_cast<Addr>(-1);
 } // namespace
 
+void
+InflightWindow::clear(Tick new_base)
+{
+    for (Tick k = base; ringCount; ++k) {
+        ringCount -= ring[k & kRingMask];
+        ring[k & kRingMask] = 0;
+    }
+    far.clear();
+    base = new_base;
+}
+
+void
+InflightWindow::purgeUpTo(Tick t)
+{
+    while (!far.empty() && far.front() <= t) {
+        std::pop_heap(far.begin(), far.end(), std::greater<Tick>());
+        far.pop_back();
+    }
+    if (t < base)
+        return;
+    // The ring holds [base, base + kRingTicks); sweep the part up to
+    // t, and stop early once it is empty.
+    const Tick last = std::min(t, base + kRingMask);
+    for (Tick k = base; ringCount && k <= last; ++k) {
+        ringCount -= ring[k & kRingMask];
+        ring[k & kRingMask] = 0;
+    }
+    base = t;
+}
+
+Tick
+InflightWindow::popMin()
+{
+    Tick k = base;
+    if (ringCount) {
+        while (!ring[k & kRingMask])
+            ++k;
+    }
+    if (!far.empty() && (!ringCount || far.front() < k)) {
+        k = far.front();
+        std::pop_heap(far.begin(), far.end(), std::greater<Tick>());
+        far.pop_back();
+    } else {
+        --ring[k & kRingMask];
+        --ringCount;
+    }
+    // Nothing is earlier than the minimum, so the cursor may jump.
+    base = std::max(base, k);
+    return k;
+}
+
+void
+InflightWindow::pushFar(Tick c)
+{
+    far.push_back(c);
+    std::push_heap(far.begin(), far.end(), std::greater<Tick>());
+}
+
 ScuPipeline::ScuPipeline(const ScuParams &params, mem::MemSystem &m,
-                         Tick start)
-    : p(params), mem(m), startTick(start + params.opSetupCycles),
+                         InflightWindow &window, Tick start)
+    : p(params), mem(m), inflight(window),
+      lineBytes(m.l2().params().lineBytes),
+      startTick(start + params.opSetupCycles),
       txnIssue(startTick), memReady(startTick),
       lastGatherLine(noLine), lastWriteLine(noLine),
       lastHashLine(noLine)
 {
     lastLine.fill(noLine);
+    inflight.clear(startTick);
 }
 
 std::size_t
@@ -50,12 +109,9 @@ ScuPipeline::issueRead(Addr line_addr, unsigned bytes)
 {
     Tick t = std::max(txnIssue, portTick(readsIssued));
     ++readsIssued;
-    while (!inflight.empty() && inflight.top() <= t)
-        inflight.pop();
-    if (inflight.size() >= inflightLimit()) {
-        t = std::max(t, inflight.top());
-        inflight.pop();
-    }
+    inflight.purgeUpTo(t);
+    if (inflight.size() >= inflightLimit())
+        t = std::max(t, inflight.popMin());
     // Streaming data has no reuse: bypass L2 allocation so the
     // in-memory hash tables stay cache resident.
     auto r = mem.access(t, line_addr, mem::AccessKind::ReadNoAlloc,
@@ -71,43 +127,39 @@ ScuPipeline::issueRead(Addr line_addr, unsigned bytes)
 }
 
 void
-ScuPipeline::seqRead(Stream s, Addr addr, unsigned bytes)
+ScuPipeline::readLines(Addr &last, Addr addr, unsigned bytes)
 {
-    const unsigned line_bytes = mem.l2().params().lineBytes;
-    Addr line = alignDown(addr, line_bytes);
-    Addr end_line = alignDown(addr + bytes - 1, line_bytes);
-    auto &last = lastLine[static_cast<unsigned>(s)];
-    for (Addr l = line; l <= end_line; l += line_bytes) {
+    Addr line = alignDown(addr, lineBytes);
+    Addr end_line = alignDown(addr + bytes - 1, lineBytes);
+    for (Addr l = line; l <= end_line; l += lineBytes) {
         if (l != last) {
-            issueRead(l, line_bytes);
+            issueRead(l, lineBytes);
             last = l;
         }
     }
 }
 
 void
-ScuPipeline::gatherRead(Addr addr, unsigned bytes)
+ScuPipeline::gatherSectors(Addr addr, unsigned bytes)
 {
     // Gathers fetch 32 B sectors: sparse accesses must not pay for
     // (or occupy the bus with) a full line of mostly-unused data.
-    constexpr unsigned sector = 32;
-    Addr first = alignDown(addr, sector);
-    Addr last_sector = alignDown(addr + bytes - 1, sector);
-    for (Addr sctr = first; sctr <= last_sector; sctr += sector) {
+    Addr first = alignDown(addr, kSectorBytes);
+    Addr last_sector = alignDown(addr + bytes - 1, kSectorBytes);
+    for (Addr sctr = first; sctr <= last_sector; sctr += kSectorBytes) {
         if (sctr != lastGatherLine) {
-            issueRead(sctr, sector);
+            issueRead(sctr, kSectorBytes);
             lastGatherLine = sctr;
         }
     }
 }
 
 void
-ScuPipeline::seqWrite(Addr addr, unsigned bytes)
+ScuPipeline::writeLines(Addr addr, unsigned bytes)
 {
-    const unsigned line_bytes = mem.l2().params().lineBytes;
-    Addr line = alignDown(addr, line_bytes);
-    Addr end_line = alignDown(addr + bytes - 1, line_bytes);
-    for (Addr l = line; l <= end_line; l += line_bytes) {
+    Addr line = alignDown(addr, lineBytes);
+    Addr end_line = alignDown(addr + bytes - 1, lineBytes);
+    for (Addr l = line; l <= end_line; l += lineBytes) {
         if (l != lastWriteLine) {
             // Posted write through the Data Store's own port; it
             // reserves memory occupancy but nothing waits on it.
@@ -116,7 +168,7 @@ ScuPipeline::seqWrite(Addr addr, unsigned bytes)
             // the (shared) L2.
             Tick t = portTick(storesIssued);
             ++storesIssued;
-            mem.access(t, l, mem::AccessKind::Write, line_bytes);
+            mem.access(t, l, mem::AccessKind::Write, lineBytes);
             ++traffic.writeTxns;
             lastWriteLine = l;
         }
@@ -130,8 +182,7 @@ ScuPipeline::hashAccess(Addr addr, bool write, unsigned read_bytes)
     // the set and, if needed, updates the entry in the same pipelined
     // probe, so the port advances once regardless. Transfers are
     // sector granular (the probed set, not a whole line).
-    const unsigned line_bytes = mem.l2().params().lineBytes;
-    Addr line = alignDown(addr, line_bytes);
+    Addr line = alignDown(addr, lineBytes);
     Tick t = portTick(hashIssued);
     ++hashIssued;
     if (line != lastHashLine) {
@@ -156,18 +207,6 @@ ScuPipeline::finish()
     const Tick ports =
         std::max({portTick(readsIssued), portTick(storesIssued),
                   portTick(hashIssued)});
-    if (std::getenv("SCUSIM_TRACE_OPS") && traffic.elements > 4096) {
-        inform("scu-op elems=%llu thr=%llu memReady=%llu "
-               "ports=%llu (r=%llu s=%llu h=%llu) start=%llu",
-               (unsigned long long)traffic.elements,
-               (unsigned long long)(throughput - startTick),
-               (unsigned long long)(memReady - startTick),
-               (unsigned long long)(ports - startTick),
-               (unsigned long long)readsIssued,
-               (unsigned long long)storesIssued,
-               (unsigned long long)hashIssued,
-               (unsigned long long)startTick);
-    }
     return std::max({throughput, memReady, txnIssue, ports}) +
            p.opDrainCycles;
 }

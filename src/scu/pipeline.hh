@@ -20,8 +20,9 @@
 #define SCUSIM_SCU_PIPELINE_HH
 
 #include <array>
-#include <queue>
+#include <vector>
 
+#include "common/bits.hh"
 #include "common/types.hh"
 #include "mem/mem_system.hh"
 #include "scu/scu_config.hh"
@@ -40,6 +41,66 @@ enum class Stream : unsigned
     NumStreams = 5
 };
 
+/**
+ * The Data Fetch unit's window of outstanding reads: the completion
+ * ticks of the reads in flight. Within one operation the read issue
+ * tick never decreases and every completion is at or after the tick
+ * it was issued at, so the window is a calendar: one count per tick
+ * in a ring that starts at the purge cursor, plus a min-heap for the
+ * rare completion past the ring's horizon. "Drop every completion up
+ * to t" is a cursor sweep and "the earliest completion" a forward
+ * scan to the next non-zero count, with the same contents, sizes and
+ * order as a priority queue of ticks.
+ *
+ * The Scu owns one window and reuses it for every operation; clear()
+ * costs the span of what was left, never the ring.
+ */
+class InflightWindow
+{
+  public:
+    /** Ticks the ring covers from the purge cursor. */
+    static constexpr Tick kRingTicks = Tick{1} << 17;
+
+    InflightWindow() : ring(kRingTicks, 0) {}
+
+    /** Empty the window and put the purge cursor at @p base. */
+    void clear(Tick base);
+
+    /** Drop every completion at or before @p t. */
+    void purgeUpTo(Tick t);
+
+    /** Remove and return the earliest completion; size() > 0. */
+    Tick popMin();
+
+    /** Add a completion at @p c. */
+    void
+    push(Tick c)
+    {
+        if (c - base < kRingTicks) {
+            ++ring[c & kRingMask];
+            ++ringCount;
+        } else {
+            pushFar(c);
+        }
+    }
+
+    std::size_t size() const { return ringCount + far.size(); }
+
+  private:
+    static constexpr Tick kRingMask = kRingTicks - 1;
+
+    void pushFar(Tick c);
+
+    /** Completions per tick; tick c lives in slot c & kRingMask. */
+    std::vector<std::uint32_t> ring;
+    /** Completions held in the ring, all in [base, base + kRingTicks). */
+    std::size_t ringCount = 0;
+    /** Min-heap of the completions pushed past the ring's horizon. */
+    std::vector<Tick> far;
+    /** Purge cursor: the ring holds nothing earlier. */
+    Tick base = 0;
+};
+
 /** Traffic counters of one operation. */
 struct PipelineTraffic
 {
@@ -54,8 +115,9 @@ struct PipelineTraffic
 class ScuPipeline
 {
   public:
+    /** @p window is emptied and holds this operation's reads. */
     ScuPipeline(const ScuParams &params, mem::MemSystem &mem,
-                Tick start);
+                InflightWindow &window, Tick start);
 
     /** Account @p n element slots through the pipeline. */
     void
@@ -69,16 +131,32 @@ class ScuPipeline
      * line change issues a transaction (the read coalescing unit
      * merges the rest).
      */
-    void seqRead(Stream s, Addr addr, unsigned bytes = 4);
+    void
+    seqRead(Stream s, Addr addr, unsigned bytes = 4)
+    {
+        Addr &last = lastLine[static_cast<unsigned>(s)];
+        if (!within(last, addr, bytes, lineBytes))
+            readLines(last, addr, bytes);
+    }
 
     /**
      * Random-access read (gather). Consecutive addresses within the
-     * merge window still coalesce via the line check.
+     * merge window still coalesce via the sector check.
      */
-    void gatherRead(Addr addr, unsigned bytes = 4);
+    void
+    gatherRead(Addr addr, unsigned bytes = 4)
+    {
+        if (!within(lastGatherLine, addr, bytes, kSectorBytes))
+            gatherSectors(addr, bytes);
+    }
 
     /** Write-combined store to the (sequential) output array. */
-    void seqWrite(Addr addr, unsigned bytes = 4);
+    void
+    seqWrite(Addr addr, unsigned bytes = 4)
+    {
+        if (!within(lastWriteLine, addr, bytes, lineBytes))
+            writeLines(addr, bytes);
+    }
 
     /**
      * One filtering/grouping hash probe at set address @p addr,
@@ -93,6 +171,28 @@ class ScuPipeline
     const PipelineTraffic &counters() const { return traffic; }
 
   private:
+    /** Gathers fetch 32 B sectors, not whole lines. */
+    static constexpr unsigned kSectorBytes = 32;
+
+    /**
+     * True when [addr, addr + bytes) lies inside the @p granule
+     * -aligned block starting at @p last: the coalescing unit merges
+     * the access into the previous transaction.
+     */
+    static bool
+    within(Addr last, Addr addr, unsigned bytes, Addr granule)
+    {
+        return alignDown(addr, granule) == last &&
+               alignDown(addr + bytes - 1, granule) == last;
+    }
+
+    /** Issue every line of a sequential read not merged into @p last. */
+    void readLines(Addr &last, Addr addr, unsigned bytes);
+    /** Issue every sector of a gather not merged into the last one. */
+    void gatherSectors(Addr addr, unsigned bytes);
+    /** Post every line of a store not merged into the last one. */
+    void writeLines(Addr addr, unsigned bytes);
+
     /** Issue one read transaction respecting the in-flight window. */
     void issueRead(Addr line_addr, unsigned bytes);
 
@@ -104,6 +204,9 @@ class ScuPipeline
 
     const ScuParams &p;
     mem::MemSystem &mem;
+    InflightWindow &inflight;
+    /** The L2 line size, the sequential streams' merge granule. */
+    const unsigned lineBytes;
     Tick startTick;
 
     /** Last read-issue tick (for in-flight window accounting). */
@@ -120,9 +223,6 @@ class ScuPipeline
     Addr lastGatherLine;
     Addr lastWriteLine;
     Addr lastHashLine;
-
-    std::priority_queue<Tick, std::vector<Tick>, std::greater<Tick>>
-        inflight;
 
     PipelineTraffic traffic;
 };

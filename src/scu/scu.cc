@@ -128,31 +128,33 @@ Scu::emitStream(const std::vector<std::uint32_t> &produced,
         // pins its region in the L2 (way-locking) so streaming
         // traffic cannot thrash it — the Table 2 sizes are chosen to
         // fit the L2 for exactly this reason.
+        UniqueFilterTable *unique = nullptr;
         if (opt.filterMode == FilterMode::Unique) {
-            auto &t = opt.useSecondaryUnique ? *uniqueTable2
-                                             : *uniqueTable;
-            memSys.l2().setProtectedRegion(t.baseAddr(),
-                                           t.config().sizeBytes);
+            unique = opt.useSecondaryUnique ? uniqueTable2.get()
+                                            : uniqueTable.get();
+            memSys.l2().setProtectedRegion(unique->baseAddr(),
+                                           unique->config().sizeBytes);
         } else {
             memSys.l2().setProtectedRegion(
                 costTable->baseAddr(),
                 costTable->config().sizeBytes);
         }
+        const HashConfig &hash =
+            unique ? p.filterBfsHash : p.filterSsspHash;
+        const unsigned set_bytes =
+            std::min(128u, hash.ways * hash.entryBytes);
+        // Armed HashCorrupt faults strike the set the next probe
+        // touches, so the parity check is guaranteed to see the
+        // flipped bit (checked builds).
+        sim::FaultInjector *const inj = sim.faultInjector();
         opt.keepOut->assign(n, 1);
         for (std::size_t k = 0; k < n; ++k) {
             ProbeTraffic traffic;
             bool keep;
-            // Armed HashCorrupt faults strike the set the next probe
-            // touches, so the parity check is guaranteed to see the
-            // flipped bit (checked builds).
-            sim::FaultInjector *inj = sim.faultInjector();
-            if (opt.filterMode == FilterMode::Unique) {
-                auto &table = opt.useSecondaryUnique
-                                  ? *uniqueTable2
-                                  : *uniqueTable;
+            if (unique) {
                 if (inj && inj->fireHashCorrupt(sim.now()))
-                    table.corruptForKey(produced[k], inj->rng());
-                keep = table.probe(produced[k], traffic);
+                    unique->corruptForKey(produced[k], inj->rng());
+                keep = unique->probe(produced[k], traffic);
             } else {
                 if (inj && inj->fireHashCorrupt(sim.now()))
                     costTable->corruptForKey(produced[k],
@@ -160,12 +162,6 @@ Scu::emitStream(const std::vector<std::uint32_t> &produced,
                 keep = costTable->probe(produced[k], opt.costs[k],
                                         traffic);
             }
-            const unsigned set_bytes = std::min(
-                128u, (opt.filterMode == FilterMode::Unique
-                           ? p.filterBfsHash.ways *
-                                 p.filterBfsHash.entryBytes
-                           : p.filterSsspHash.ways *
-                                 p.filterSsspHash.entryBytes));
             pipe.hashAccess(traffic.setAddr, traffic.wrote,
                             set_bytes);
             ++st.hashProbes;
@@ -186,14 +182,14 @@ Scu::emitStream(const std::vector<std::uint32_t> &produced,
         memSys.l2().setProtectedRegion(
             groupTable->baseAddr(), groupTable->config().sizeBytes);
         const std::uint64_t per_line = nodesPerLine();
+        const unsigned set_bytes =
+            std::min(128u, p.groupHash.ways * p.groupHash.entryBytes);
         for (std::size_t k = 0; k < n; ++k) {
             ProbeTraffic traffic;
             groupTable->probe(produced[k] / per_line,
                               static_cast<std::uint32_t>(k),
                               *opt.orderOut, traffic);
-            pipe.hashAccess(traffic.setAddr, traffic.wrote,
-                            std::min(128u, p.groupHash.ways *
-                                               p.groupHash.entryBytes));
+            pipe.hashAccess(traffic.setAddr, traffic.wrote, set_bytes);
             ++st.hashProbes;
             pipe.seqWrite(
                 metaOrderBase + (4 * k) % orderRegionBytes, 4);
@@ -250,7 +246,7 @@ Scu::bitmaskConstructor(const Elems &in, std::size_t n, CompareOp op,
     panic_if(out.size() < n, "bitmask output too small");
     ScuOpStats st;
     st.start = sim.now();
-    ScuPipeline pipe(p, memSys, st.start);
+    ScuPipeline pipe(p, memSys, readWindow, st.start);
     st.elemsIn = n;
     for (std::size_t i = 0; i < n; ++i) {
         pipe.elements(1);
@@ -270,7 +266,7 @@ Scu::dataCompaction(const Elems &in, std::size_t n, const Flags *mask,
 {
     ScuOpStats st;
     st.start = sim.now();
-    ScuPipeline pipe(p, memSys, st.start);
+    ScuPipeline pipe(p, memSys, readWindow, st.start);
     st.elemsIn = n;
 
     std::vector<std::uint32_t> produced;
@@ -297,7 +293,7 @@ Scu::accessCompaction(const Elems &data, const Elems &indexes,
 {
     ScuOpStats st;
     st.start = sim.now();
-    ScuPipeline pipe(p, memSys, st.start);
+    ScuPipeline pipe(p, memSys, readWindow, st.start);
     st.elemsIn = n;
 
     std::vector<std::uint32_t> produced;
@@ -329,7 +325,7 @@ Scu::replicationCompaction(const Elems &in, const Elems &count,
 {
     ScuOpStats st;
     st.start = sim.now();
-    ScuPipeline pipe(p, memSys, st.start);
+    ScuPipeline pipe(p, memSys, readWindow, st.start);
     st.elemsIn = n;
 
     std::vector<std::uint32_t> produced;
@@ -362,7 +358,7 @@ Scu::accessExpansionCompaction(const Elems &data, const Elems &indexes,
 {
     ScuOpStats st;
     st.start = sim.now();
-    ScuPipeline pipe(p, memSys, st.start);
+    ScuPipeline pipe(p, memSys, readWindow, st.start);
     st.elemsIn = n;
 
     std::vector<std::uint32_t> produced;

@@ -225,6 +225,9 @@ class Scu
     Addr metaKeepBase = 0;
     Addr metaOrderBase = 0;
 
+    /** The Data Fetch unit's outstanding reads, reused by every op. */
+    InflightWindow readWindow;
+
     ScuTotals agg;
 
     stats::StatGroup grp;

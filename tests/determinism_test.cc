@@ -38,7 +38,7 @@ statsDumpFor(const RunConfig &base)
 
 class DeterminismGate
     : public ::testing::TestWithParam<
-          std::tuple<Primitive, const char *, unsigned>>
+          std::tuple<Primitive, std::string, unsigned>>
 {
 };
 
@@ -69,7 +69,8 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(Primitive::Bfs,
                                          Primitive::Sssp,
                                          Primitive::Pr),
-                       ::testing::Values("GTX980", "TX1"),
+                       ::testing::Values(std::string("GTX980"),
+                                         std::string("TX1")),
                        ::testing::Values(1u, 2u)),
     [](const auto &info) {
         return to_string(std::get<0>(info.param)) + "_" +

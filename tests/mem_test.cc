@@ -599,6 +599,93 @@ TEST(Dram, SectoredTransfersMoveFewerBytes)
     EXPECT_DOUBLE_EQ(d.bytesMoved(), 160.0);
 }
 
+namespace
+{
+
+/** Test-local division-based reference of Dram's address map. */
+Dram::Coord
+divisionMap(const DramParams &p, Addr addr)
+{
+    const std::uint64_t line = addr / p.lineBytes;
+    const std::uint64_t addr_in_chan = (line / p.channels) * p.lineBytes;
+    const std::uint64_t row_global = addr_in_chan / p.rowBytes;
+    return {static_cast<unsigned>(line % p.channels),
+            static_cast<unsigned>(row_global % p.banksPerChannel),
+            row_global / p.banksPerChannel};
+}
+
+} // namespace
+
+TEST(DramMap, ShiftsMatchDivision)
+{
+    for (const DramParams &p : {DramParams::gddr5(), DramParams::lpddr4()}) {
+        for (double ghz : {1.0, 1.216}) {
+            sim::ClockDomain clk(ghz * 1e9);
+            stats::StatGroup g("t");
+            Dram d(p, clk, &g);
+            SCOPED_TRACE(p.name + " @ " + std::to_string(ghz) + " GHz");
+
+            Rng rng(21);
+            for (int i = 0; i < 20000; ++i) {
+                // Mix small, line-aligned and full 40-bit addresses.
+                const Addr a = i % 3 == 0 ? rng.below(1 << 20)
+                               : i % 3 == 1
+                                   ? rng.below(1ULL << 32) & ~Addr{127}
+                                   : rng.below(1ULL << 40);
+                const Dram::Coord got = d.map(a);
+                const Dram::Coord want = divisionMap(p, a);
+                ASSERT_EQ(got.channel, want.channel) << a;
+                ASSERT_EQ(got.bank, want.bank) << a;
+                ASSERT_EQ(got.row, want.row) << a;
+            }
+
+            const Tick per_line = std::max<Tick>(
+                1, clk.cyclesForBytes(p.lineBytes,
+                                      p.peakBytesPerSec / p.channels));
+            for (unsigned bytes : {1u, 4u, 32u, 64u, 96u, 128u, 256u}) {
+                const unsigned moved =
+                    std::min(std::max(bytes, 32u), p.lineBytes);
+                EXPECT_EQ(d.busCycles(bytes),
+                          std::max<Tick>(1, per_line * moved /
+                                                p.lineBytes))
+                    << bytes << " B";
+            }
+        }
+    }
+}
+
+TEST(DramMap, NonPowerOfTwoGeometryPanics)
+{
+    sim::ClockDomain clk(1e9);
+    stats::StatGroup g("t");
+    DramParams p = DramParams::gddr5();
+    p.channels = 6;
+    EXPECT_DEATH(Dram(p, clk, &g), "channel count must be 2\\^n");
+    p = DramParams::gddr5();
+    p.banksPerChannel = 12;
+    EXPECT_DEATH(Dram(p, clk, &g), "bank count must be 2\\^n");
+    p = DramParams::lpddr4();
+    p.rowBytes = 3072;
+    EXPECT_DEATH(Dram(p, clk, &g), "row size must be 2\\^n");
+}
+
+TEST(Cache, NonPowerOfTwoGeometryPanics)
+{
+    FakeMem dram;
+    stats::StatGroup g("t");
+    CacheParams p = smallCache();
+    p.sizeBytes = 3 * 16 * 128; // 3 sets
+    EXPECT_DEATH(Cache(p, &dram, &g), "set count 3 must be 2\\^n");
+    p = smallCache();
+    p.banks = 3;
+    EXPECT_DEATH(Cache(p, &dram, &g), "bank count 3 must be 2\\^n");
+    // The power-of-two geometries of the presets and tests build.
+    p = smallCache();
+    p.banks = 4;
+    Cache ok(p, &dram, &g);
+    EXPECT_EQ(ok.params().banks, 4u);
+}
+
 TEST(MemSystem, InterconnectLatencyAdds)
 {
     sim::ClockDomain clk(1e9);

@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <numeric>
+#include <queue>
 #include <set>
 
 #include "common/rng.hh"
@@ -532,4 +533,102 @@ TEST(HashTable, GroupingFlushEmitsEverything)
         t.probe(i % 3, i, order, tr);
     t.flush(order);
     EXPECT_EQ(order.size(), 20u);
+}
+
+TEST(ScuWindow, RandomOpsMatchPriorityQueue)
+{
+    // The calendar window against a priority queue of ticks, driven
+    // the way the pipeline drives it: within an operation the issue
+    // tick t never decreases and every completion pushed is >= t.
+    // Operations start with clear(), sometimes at an earlier tick.
+    using Reference =
+        std::priority_queue<Tick, std::vector<Tick>, std::greater<Tick>>;
+    constexpr Tick horizon = InflightWindow::kRingTicks;
+    InflightWindow win;
+    Reference ref;
+    Rng rng(14);
+    Tick t = 0;
+    Tick base = 0; // the window's purge cursor, as the test models it
+    std::size_t limit = 64;
+    std::uint64_t dups = 0, far_pushes = 0, jumps = 0, far_only = 0;
+    std::uint64_t full_pops = 0, clears = 0;
+    Tick last_push = 0;
+
+    auto purge = [&] {
+        win.purgeUpTo(t);
+        while (!ref.empty() && ref.top() <= t)
+            ref.pop();
+        base = std::max(base, t);
+    };
+    auto push = [&](Tick c) {
+        dups += c == last_push;
+        last_push = c;
+        far_pushes += c - base >= horizon;
+        win.push(c);
+        ref.push(c);
+    };
+
+    for (int op = 0; op < 250000; ++op) {
+        const unsigned kind = static_cast<unsigned>(rng.below(1000));
+        if (kind < 3) {
+            // A new operation reuses the window.
+            t = rng.chance(0.5) ? t + rng.below(5000) : rng.below(t + 1);
+            win.clear(t);
+            ref = Reference();
+            base = t;
+            limit = 8 + rng.below(64);
+            ++clears;
+        } else if (kind < 6) {
+            // The issue tick jumps further than the ring reaches.
+            t += horizon + rng.below(2 * horizon);
+            purge();
+            ++jumps;
+        } else if (kind < 400) {
+            // One read issue: purge, pop the earliest when full, push.
+            t += rng.below(4);
+            purge();
+            if (win.size() >= limit) {
+                const Tick m = win.popMin();
+                ASSERT_EQ(m, ref.top());
+                ref.pop();
+                t = std::max(t, m);
+                base = std::max(base, m);
+                ++full_pops;
+            }
+            const unsigned far = static_cast<unsigned>(rng.below(100));
+            if (far < 3)
+                push(t + horizon + rng.below(horizon));
+            else if (far < 20)
+                push(t); // completes at its own issue tick
+            else if (far < 40)
+                push(std::max(t, last_push)); // a duplicate tick
+            else
+                push(t + rng.below(3000));
+        } else if (kind < 600) {
+            t += rng.below(200);
+            purge();
+        } else if (kind < 700) {
+            if (!win.size())
+                continue;
+            const Tick m = win.popMin();
+            ASSERT_EQ(m, ref.top());
+            ref.pop();
+            t = std::max(t, m);
+            base = std::max(base, m);
+        } else {
+            push(t + (rng.chance(0.02) ? horizon + rng.below(horizon)
+                                       : rng.below(2000)));
+        }
+        ASSERT_EQ(win.size(), ref.size()) << "after op " << op;
+        // Every entry past the ring: the ring is empty, the far heap
+        // is not.
+        far_only += !ref.empty() && ref.top() - base >= horizon;
+    }
+    // The random walk reached every regime the window has.
+    EXPECT_GT(clears, 400u);
+    EXPECT_GT(jumps, 500u);
+    EXPECT_GT(full_pops, 10000u);
+    EXPECT_GT(dups, 5000u);
+    EXPECT_GT(far_pushes, 1000u);
+    EXPECT_GT(far_only, 100u);
 }

@@ -46,7 +46,7 @@ statsDumpFor(const RunConfig &base, RunResult *out = nullptr)
 }
 
 RunConfig
-baseConfig(Primitive prim, const char *system)
+baseConfig(Primitive prim, const std::string &system)
 {
     RunConfig cfg;
     cfg.systemName = system;
@@ -59,7 +59,7 @@ baseConfig(Primitive prim, const char *system)
 
 class ShardedGate
     : public ::testing::TestWithParam<
-          std::tuple<Primitive, const char *>>
+          std::tuple<Primitive, std::string>>
 {
 };
 
@@ -123,7 +123,8 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(Primitive::Bfs,
                                          Primitive::Sssp,
                                          Primitive::Pr),
-                       ::testing::Values("GTX980", "TX1")),
+                       ::testing::Values(std::string("GTX980"),
+                                         std::string("TX1"))),
     [](const auto &info) {
         return to_string(std::get<0>(info.param)) + "_" +
                std::get<1>(info.param);

@@ -68,7 +68,7 @@ statsDumpFor(const RunConfig &base, SmIssuePath path)
 
 class SmPathEquivalence
     : public ::testing::TestWithParam<
-          std::tuple<Primitive, const char *>>
+          std::tuple<Primitive, std::string>>
 {
 };
 
@@ -97,7 +97,8 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(Primitive::Bfs,
                                          Primitive::Sssp,
                                          Primitive::Pr),
-                       ::testing::Values("GTX980", "TX1")),
+                       ::testing::Values(std::string("GTX980"),
+                                         std::string("TX1"))),
     [](const auto &info) {
         return to_string(std::get<0>(info.param)) + "_" +
                std::get<1>(info.param);

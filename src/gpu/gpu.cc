@@ -11,7 +11,8 @@ namespace scusim::gpu
 
 Gpu::Gpu(const GpuParams &params, mem::MemSystem &mem,
          sim::Simulation &simulation, stats::StatGroup *parent)
-    : p(params), sim(simulation), grp("gpu", parent)
+    : p(params), sim(simulation), grp("gpu", parent),
+      nextWarp(p.numSms)
 {
     for (unsigned i = 0; i < p.numSms; ++i) {
         sms.push_back(std::make_unique<StreamingMultiprocessor>(
@@ -115,19 +116,19 @@ Gpu::launch(const KernelLaunch &k)
     ks.startTick = sim.now();
 
     if (k.numThreads > 0) {
-        const std::uint64_t num_warps =
-            (k.numThreads + p.warpSize - 1) / p.warpSize;
+        kernel = &k;
+        numWarps = (k.numThreads + p.warpSize - 1) / p.warpSize;
 
         // Warp w runs on SM (w % numSms); each SM pulls its next warp
         // lazily when a slot frees up.
         for (unsigned s = 0; s < p.numSms; ++s) {
-            auto next = std::make_shared<std::uint64_t>(s);
+            nextWarp[s] = s;
             sms[s]->beginKernel(
-                [this, &k, next, num_warps](Warp &out) {
-                    if (*next >= num_warps)
+                [this, s](Warp &out) {
+                    if (nextWarp[s] >= numWarps)
                         return false;
-                    buildWarp(k, *next, out);
-                    *next += p.numSms;
+                    buildWarp(*kernel, nextWarp[s], out);
+                    nextWarp[s] += p.numSms;
                     return true;
                 },
                 &ks);

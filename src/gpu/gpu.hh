@@ -107,6 +107,12 @@ class Gpu
     ThreadRecorder laneOps;
     /** buildWarp scratch: end offset of each lane in laneOps. */
     std::vector<std::uint32_t> laneEnd;
+
+    /** The kernel being launched and its warp count. */
+    const KernelLaunch *kernel = nullptr;
+    std::uint64_t numWarps = 0;
+    /** Per SM, the next warp of the kernel it will build. */
+    std::vector<std::uint64_t> nextWarp;
 };
 
 } // namespace scusim::gpu

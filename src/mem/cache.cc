@@ -138,6 +138,7 @@ Cache::Cache(const CacheParams &params, MemLevel *downstream,
     lineShift = floorLog2(p.lineBytes);
     tags.assign(num_sets * p.ways, kInvalidTag);
     lines.assign(num_sets * p.ways, Line{});
+    validBits.assign((tags.size() + 63) / 64, 0);
     bankFree.assign(banks, 0);
     bankMask = banks - 1;
 }
@@ -170,6 +171,7 @@ Cache::Line &
 Cache::install(std::size_t w, std::uint64_t tag)
 {
     tags[w] = tag;
+    validBits[w / 64] |= std::uint64_t{1} << (w % 64);
     Line &l = lines[w];
     l.dirty = false;
     l.mayBeInflight = true;
@@ -356,12 +358,16 @@ Cache::access(Tick issue, Addr addr, AccessKind kind, unsigned bytes)
 void
 Cache::invalidateAll(Tick now)
 {
-    for (std::size_t w = 0; w < tags.size(); ++w) {
-        // Timing model only: dirty data is not lost functionally, but
-        // the writeback traffic must be accounted.
-        writeBackIfDirty(now, w);
-        tags[w] = kInvalidTag;
-        lines[w] = Line{};
+    for (std::size_t i = 0; i < validBits.size(); ++i) {
+        for (std::uint64_t m = validBits[i]; m; m &= m - 1) {
+            const std::size_t w = i * 64 + ctz64(m);
+            // Timing model only: dirty data is not lost functionally,
+            // but the writeback traffic must be accounted.
+            writeBackIfDirty(now, w);
+            tags[w] = kInvalidTag;
+            lines[w] = Line{};
+        }
+        validBits[i] = 0;
     }
     inflight.clear();
 }

@@ -107,7 +107,11 @@ class Cache : public MemLevel
     MemResult access(Tick issue, Addr addr, AccessKind kind,
                      unsigned bytes) override;
 
-    /** Drop all lines (kernel-boundary behaviour for L1s). */
+    /**
+     * Drop all lines (kernel-boundary behaviour for L1s), writing
+     * dirty ones back in ascending way order. Visits only the ways
+     * installed since the last call.
+     */
     void invalidateAll(Tick now);
 
     /**
@@ -208,6 +212,11 @@ class Cache : public MemLevel
      */
     std::vector<std::uint64_t> tags;
     std::vector<Line> lines; ///< parallel to tags
+    /**
+     * Bit w % 64 of word w / 64 is set once way w is installed and
+     * cleared by invalidateAll, so it covers every non-invalid way.
+     */
+    std::vector<std::uint64_t> validBits;
     std::vector<Tick> bankFree;
     std::uint64_t bankMask = 0; ///< bank count - 1 (a power of two)
 

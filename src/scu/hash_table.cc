@@ -1,6 +1,5 @@
 #include "scu/hash_table.hh"
 
-#include <algorithm>
 #include <bit>
 
 #include "common/logging.hh"
@@ -107,15 +106,6 @@ UniqueFilterTable::corruptForKey(std::uint32_t key, Rng &rng)
     entries[idx] ^= std::uint32_t{1} << rng.below(32);
 }
 
-void
-UniqueFilterTable::reset()
-{
-    std::fill(entries.begin(), entries.end(), emptyKey);
-    clearOccupancy();
-    if constexpr (sim::checksEnabled)
-        parity.assign(entries.size(), parityOf(emptyKey));
-}
-
 namespace
 {
 
@@ -199,18 +189,6 @@ BestCostFilterTable::corruptForKey(std::uint32_t key, Rng &rng)
         e.key ^= std::uint32_t{1} << (bit - 32);
 }
 
-void
-BestCostFilterTable::reset()
-{
-    std::fill(entries.begin(), entries.end(), Entry{});
-    clearOccupancy();
-    if constexpr (sim::checksEnabled) {
-        parity.assign(entries.size(),
-                      parityOf(entryPayload(Entry{}.key,
-                                            Entry{}.cost)));
-    }
-}
-
 GroupingTable::GroupingTable(const HashConfig &cfg,
                              unsigned group_size,
                              mem::AddressSpace &as,
@@ -268,28 +246,31 @@ GroupingTable::probe(std::uint64_t line_key, std::uint32_t elem_idx,
                         grpSize);
 }
 
+template <typename F>
+void
+GroupingTable::drain(F &&fn)
+{
+    for (std::uint64_t s = 0; s < sets; ++s) {
+        for (std::uint64_t m = occ[s]; m; m &= m - 1)
+            fn(entries[s * cfg.ways + ctz64(m)]);
+        occ[s] = 0;
+    }
+}
+
 void
 GroupingTable::flush(std::vector<std::uint32_t> &emit_order)
 {
-    for (auto &g : entries) {
-        if (!g.elems.empty()) {
-            emit_order.insert(emit_order.end(), g.elems.begin(),
-                              g.elems.end());
-            g.elems.clear();
-        }
-        g.lineKey = static_cast<std::uint64_t>(-1);
-    }
-    clearOccupancy();
+    drain([&](Group &g) {
+        emit_order.insert(emit_order.end(), g.elems.begin(),
+                          g.elems.end());
+        g.elems.clear();
+    });
 }
 
 void
 GroupingTable::reset()
 {
-    for (auto &g : entries) {
-        g.lineKey = static_cast<std::uint64_t>(-1);
-        g.elems.clear();
-    }
-    clearOccupancy();
+    drain([](Group &g) { g.elems.clear(); });
 }
 
 } // namespace scusim::scu

@@ -78,8 +78,13 @@ class HashTableBase
         return static_cast<unsigned>((mixBits(k) >> 32) % cfg.ways);
     }
 
-    /** Clear all entries (start of a new compaction pass). */
-    virtual void reset() = 0;
+    /**
+     * Clear all entries (start of a new compaction pass). Only the
+     * occupancy words are cleared: probes match only occupied ways,
+     * so a stale entry is never matched again, and it keeps the
+     * parity its last write recorded.
+     */
+    virtual void reset() { std::fill(occ.begin(), occ.end(), 0); }
 
   protected:
     HashConfig cfg;
@@ -103,7 +108,6 @@ class HashTableBase
     {
         occ[s] |= std::uint64_t{1} << w;
     }
-    void clearOccupancy() { std::fill(occ.begin(), occ.end(), 0); }
 };
 
 /** Unique-element filter (BFS configuration, Section 4.2). */
@@ -130,8 +134,6 @@ class UniqueFilterTable : public HashTableBase
      */
     void corruptForKey(std::uint32_t key, Rng &rng);
 
-    void reset() override;
-
   private:
     static constexpr std::uint32_t emptyKey =
         static_cast<std::uint32_t>(-1);
@@ -156,8 +158,6 @@ class BestCostFilterTable : public HashTableBase
 
     /** Fault-injection hook; see UniqueFilterTable::corruptForKey. */
     void corruptForKey(std::uint32_t key, Rng &rng);
-
-    void reset() override;
 
   private:
     struct Entry
@@ -201,6 +201,15 @@ class GroupingTable : public HashTableBase
         std::uint64_t lineKey = static_cast<std::uint64_t>(-1);
         std::vector<std::uint32_t> elems;
     };
+
+    /**
+     * Call @p fn on every occupied way's group, set-major in ascending
+     * way order (the order of a full-table walk), leaving the table
+     * empty.
+     */
+    template <typename F>
+    void drain(F &&fn);
+
     unsigned grpSize;
     std::vector<Group> entries;
 };

@@ -141,23 +141,12 @@ Simulation::diagnosticDump() const
 }
 
 void
-Simulation::arm(std::size_t idx, Tick t)
-{
-    armed[idx] = t;
-    if (t != tickNever)
-        wakeHeap.emplace(t, idx);
-}
-
-void
 Simulation::wakeComponent(std::size_t idx)
 {
     if (schedMode == SchedulerMode::Polling)
         return; // the polling scan re-asks everyone anyway
     const Clocked *c = clockedList[idx];
-    const Tick t =
-        c->busy(currentTick) ? currentTick : c->nextWakeTick();
-    if (t != armed[idx])
-        arm(idx, t);
+    armed[idx] = c->busy(currentTick) ? currentTick : c->nextWakeTick();
 }
 
 void
@@ -179,24 +168,11 @@ Simulation::nextInterestingTick()
         }
         return t;
     }
-    // Event-driven: the earliest armed component (dropping stale
-    // lazy-deleted heap entries) or event, whichever comes first. A
-    // component armed at or before "now" is busy now — same answer
-    // the polling scan would give.
+    // Event-driven: the earliest armed component or event, whichever
+    // comes first. A component armed at or before "now" is busy now —
+    // same answer the polling scan would give.
     Tick t = eq.nextTick();
-    for (std::size_t idx : nextDue) {
-        const Tick a = armed[idx];
-        if (a == tickNever)
-            continue; // superseded
-        if (a <= currentTick)
-            return currentTick;
-        t = std::min(t, a);
-    }
-    while (!wakeHeap.empty() &&
-           wakeHeap.top().first != armed[wakeHeap.top().second])
-        wakeHeap.pop();
-    if (!wakeHeap.empty()) {
-        const Tick wake = wakeHeap.top().first;
+    for (const Tick wake : armed) {
         if (wake <= currentTick)
             return currentTick;
         t = std::min(t, wake);
@@ -237,34 +213,18 @@ Simulation::stepOnce()
     }
 
     // Event-driven: collect every component due at or before now
-    // (consuming its armed entry), then service them in registration
-    // order — the order the polling loop ticks them in, which matters
-    // because components share the analytic memory system within a
-    // tick.
+    // (consuming its wake) before servicing any — a wake armed while
+    // the due set is serviced is picked up on the next tick. Then
+    // service them in registration order, the order the polling loop
+    // ticks them in, which matters because components share the
+    // analytic memory system within a tick.
     readyScratch.clear();
-    // Components the previous tick re-armed straight for this one
-    // (the steady busy state) — consumed without a heap round trip.
-    for (std::size_t idx : nextDue) {
-        if (armed[idx] != tickNever && armed[idx] <= currentTick) {
+    for (std::size_t idx = 0; idx < armed.size(); ++idx) {
+        if (armed[idx] <= currentTick) {
             armed[idx] = tickNever;
             readyScratch.push_back(idx);
         }
     }
-    nextDue.clear();
-    while (!wakeHeap.empty() &&
-           wakeHeap.top().first <= currentTick) {
-        const auto [t, idx] = wakeHeap.top();
-        wakeHeap.pop();
-        if (armed[idx] != t)
-            continue; // superseded by a later arm
-        armed[idx] = tickNever;
-        readyScratch.push_back(idx);
-    }
-    // Registration order, as the polling loop ticks them. nextDue is
-    // appended in service order, so the scratch is almost always
-    // already sorted and the check is the common whole cost.
-    if (!std::is_sorted(readyScratch.begin(), readyScratch.end()))
-        std::sort(readyScratch.begin(), readyScratch.end());
     for (std::size_t idx : readyScratch) {
         Clocked *c = clockedList[idx];
         if (injector &&
@@ -274,22 +234,14 @@ Simulation::stepOnce()
             // loop keeps spinning until the deadlock watchdog fires,
             // exactly as under polling.
             armed[idx] = currentTick + 1;
-            nextDue.push_back(idx);
             continue;
         }
         if (c->busy(currentTick)) {
             c->noteTick(currentTick);
             c->tick(currentTick);
         }
-        const Tick next = c->busy(currentTick + 1)
-                              ? currentTick + 1
-                              : c->nextWakeTick();
-        if (next == currentTick + 1) {
-            armed[idx] = next;
-            nextDue.push_back(idx);
-        } else {
-            arm(idx, next);
-        }
+        armed[idx] = c->busy(currentTick + 1) ? currentTick + 1
+                                              : c->nextWakeTick();
     }
     ++currentTick;
 }
@@ -298,8 +250,22 @@ void
 Simulation::step(Tick n)
 {
     rearmAll();
-    for (Tick i = 0; i < n; ++i)
+    const Tick end = currentTick + n;
+    // Jump across ticks where nothing is due; stepOnce() on such a
+    // tick would service nothing.
+    while (true) {
+        const Tick next = std::max(currentTick, nextInterestingTick());
+        if (next >= end)
+            break;
+        currentTick = next;
         stepOnce();
+    }
+    if (currentTick < end) {
+        // The skipped tail leaves the event queue's schedule floor
+        // where n single steps would have left it.
+        eq.serviceUpTo(end - 1);
+        currentTick = end;
+    }
     if (!timeseries.empty())
         sampleTimeseries(currentTick);
 }
@@ -314,7 +280,7 @@ Simulation::run(Tick max_ticks)
     std::uint64_t iters = 0;
     // Components may have gained work since the last run()/step()
     // without a notifyWake (e.g. constructed busy); re-derive every
-    // wake once so the heap starts accurate.
+    // wake once so the scan starts accurate.
     rearmAll();
     while (true) {
         if (injector)

@@ -12,9 +12,7 @@
 #define SCUSIM_SIM_SIMULATION_HH
 
 #include <memory>
-#include <queue>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "common/types.hh"
@@ -38,9 +36,9 @@ namespace scusim::sim
 class FaultInjector;
 
 /**
- * How the simulation loop finds work. EventDriven (the default) keeps
- * a min-heap of per-component wake ticks and services only the
- * components whose wake has arrived; Polling is the reference
+ * How the simulation loop finds work. EventDriven (the default) caches
+ * one wake tick per component and services only the components whose
+ * wake has arrived; Polling is the reference
  * implementation that re-asks every Clocked component for busy()/
  * nextWakeTick() on every serviced tick. Both produce byte-identical
  * stats — the scheduler-equivalence test enforces it — so Polling
@@ -160,7 +158,12 @@ class Simulation
      */
     Tick run(Tick max_ticks = static_cast<Tick>(1) << 40);
 
-    /** Advance exactly @p n ticks (events + clocked components). */
+    /**
+     * Advance exactly @p n ticks (events + clocked components). Ticks
+     * where nothing is due are skipped, not stepped: events and
+     * wake-ups inside the window fire at their exact ticks, as they
+     * would under n calls of step(1).
+     */
     void step(Tick n = 1);
 
     /**
@@ -185,14 +188,6 @@ class Simulation
     /** Record every timeseries window boundary at or before @p now. */
     void sampleTimeseries(Tick now);
 
-    /**
-     * Set component @p idx's cached wake tick to @p t and push the
-     * matching heap entry (tickNever disarms). Entries superseded by
-     * a later arm stay in the heap and are dropped lazily when their
-     * tick no longer matches armed[idx].
-     */
-    void arm(std::size_t idx, Tick t);
-
     /** Re-derive component @p idx's wake from busy()/nextWakeTick(). */
     void wakeComponent(std::size_t idx);
 
@@ -214,22 +209,15 @@ class Simulation
     std::vector<stats::Timeseries *> timeseries;
 
     SchedulerMode schedMode;
-    /** Earliest tick each component can be busy (tickNever = idle). */
-    std::vector<Tick> armed;
-    /** Lazy-deletion min-heap over (armed tick, component index). */
-    std::priority_queue<std::pair<Tick, std::size_t>,
-                        std::vector<std::pair<Tick, std::size_t>>,
-                        std::greater<>>
-        wakeHeap;
-    /** Indices due at the current tick (scratch, sorted). */
-    std::vector<std::size_t> readyScratch;
     /**
-     * Fast-path arming for the steady busy state: a component due
-     * again at exactly the next tick is appended here instead of
-     * round-tripping the heap. Entries are validated against armed[]
-     * on consumption, like lazy-deleted heap entries.
+     * Earliest tick each component can be busy (tickNever = idle),
+     * in registration order. The components are the SMs (16 per
+     * GTX980 device) and the interconnect, so the scheduler scans
+     * this array rather than keeping a priority queue over it.
      */
-    std::vector<std::size_t> nextDue;
+    std::vector<Tick> armed;
+    /** Indices due at the current tick (scratch, ascending). */
+    std::vector<std::size_t> readyScratch;
 };
 
 } // namespace scusim::sim

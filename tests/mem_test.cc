@@ -539,6 +539,105 @@ TEST(CacheInflight, RandomTraceMatchesUnorderedMapModel)
     EXPECT_GT(peak, 1000u) << "the table never had to grow";
 }
 
+namespace
+{
+
+/**
+ * Fixed-latency backing store that folds every line writeback (a
+ * downstream Write) into an FNV-1a digest of (tick, addr), and counts
+ * the fills that bypassed the cache: those read a whole line, where
+ * the trace below asks for 4 bytes.
+ */
+class WritebackDigestMem : public MemLevel
+{
+  public:
+    MemResult
+    access(Tick issue, Addr addr, AccessKind kind,
+           unsigned bytes) override
+    {
+        if (kind == AccessKind::Write) {
+            fold(issue);
+            fold(addr);
+            ++writebacks;
+            return {issue + 1, false};
+        }
+        if (kind == AccessKind::Read && bytes == 128)
+            ++bypassFills;
+        return {issue + 150, false};
+    }
+
+    std::uint64_t digest = 0xcbf29ce484222325ull;
+    std::uint64_t writebacks = 0;
+    std::uint64_t bypassFills = 0;
+
+  private:
+    void
+    fold(std::uint64_t v)
+    {
+        for (int i = 0; i < 8; ++i) {
+            digest ^= (v >> (8 * i)) & 0xff;
+            digest *= 0x100000001b3ull;
+        }
+    }
+};
+
+} // namespace
+
+TEST(Cache, InvalidateAllWritebacksMatchParent)
+{
+    // invalidateAll must write back exactly the dirty lines, in
+    // ascending way order, whichever ways were installed since the
+    // last call. A seeded trace of reads, stores, write-validate,
+    // streaming accesses and pinned-set bypass fills, with repeated
+    // invalidations interleaved; the digest of the downstream
+    // writeback sequence is pinned to the value of the full-sweep
+    // invalidation this implementation replaced.
+    CacheParams p = smallCache();
+    p.sizeBytes = 16 << 10; // 32 sets x 4 ways: two words of valid bits
+    p.ways = 4;
+    p.mshrs = 16;
+    WritebackDigestMem down;
+    stats::StatGroup g("t");
+    Cache c(p, &down, &g);
+    // 256 pinned lines fill whole sets, so unpinned fills bypass.
+    c.setProtectedRegion(0, 256 * p.lineBytes);
+
+    Rng rng(0x1a5d);
+    Tick base = 0;
+    unsigned invalidations = 0;
+    std::uint64_t invalidate_writebacks = 0;
+    c.invalidateAll(0); // on an empty cache: no traffic
+    for (int k = 0; k < 20000; ++k) {
+        base += rng.below(4);
+        if (rng.chance(0.01)) {
+            const std::uint64_t before = down.writebacks;
+            c.invalidateAll(base);
+            if (rng.chance(0.3))
+                c.invalidateAll(base + 1); // nothing left to write
+            invalidate_writebacks += down.writebacks - before;
+            ++invalidations;
+            continue;
+        }
+        const Addr line = rng.chance(0.4)
+                              ? rng.below(256)
+                              : 4096 + rng.below(512);
+        const std::uint64_t roll = rng.below(10);
+        const AccessKind kind = roll < 4   ? AccessKind::Read
+                                : roll < 6 ? AccessKind::Atomic
+                                : roll < 8 ? AccessKind::Write
+                                : roll < 9 ? AccessKind::ReadNoAlloc
+                                           : AccessKind::WriteNoAlloc;
+        c.access(base + rng.below(64), line * p.lineBytes + 4, kind, 4);
+    }
+    c.invalidateAll(base + 10);
+
+    EXPECT_GT(invalidations, 150u);
+    EXPECT_GT(invalidate_writebacks, 1000u);
+    EXPECT_GT(down.bypassFills, 20u);
+    EXPECT_EQ(static_cast<double>(down.writebacks), c.numWritebacks());
+    EXPECT_EQ(down.digest, 0xcaee7de8330920f1ull) << std::hex << down.digest;
+}
+
 TEST(Dram, RowBufferLocality)
 {
     sim::ClockDomain clk(1e9);

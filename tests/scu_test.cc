@@ -14,6 +14,7 @@
 #include <set>
 
 #include "common/rng.hh"
+#include "common/sim_error.hh"
 
 #include "mem/address_space.hh"
 #include "mem/mem_system.hh"
@@ -533,6 +534,108 @@ TEST(HashTable, GroupingFlushEmitsEverything)
         t.probe(i % 3, i, order, tr);
     t.flush(order);
     EXPECT_EQ(order.size(), 20u);
+}
+
+TEST(HashTable, ResetMatchesFreshTable)
+{
+    // A reset table must behave exactly like a freshly constructed
+    // one: the same keep decisions, probe traffic and grouping emit
+    // order, however full the table was before the reset. Small
+    // tables and a key range a few times their capacity exercise
+    // duplicates, collisions, victim eviction and full groups.
+    const HashConfig unique_cfg{4096, 4, 4};
+    const HashConfig cost_cfg{4096, 4, 8};
+    const HashConfig group_cfg{4096, 4, 32};
+    const unsigned group_size = 4;
+    mem::AddressSpace as(1ULL << 28);
+    UniqueFilterTable unique(unique_cfg, as, "u");
+    BestCostFilterTable cost(cost_cfg, as, "c");
+    GroupingTable group(group_cfg, group_size, as, "g");
+
+    auto same = [](const ProbeTraffic &a, const ProbeTraffic &b) {
+        return a.setAddr == b.setAddr && a.wrote == b.wrote;
+    };
+    Rng rng(0x5e7);
+    for (int round = 0; round < 40; ++round) {
+        // The fresh twins get address spaces of their own, laid out
+        // like the reused tables' so set addresses agree.
+        mem::AddressSpace fresh_as(1ULL << 28);
+        UniqueFilterTable fresh_unique(unique_cfg, fresh_as, "u");
+        BestCostFilterTable fresh_cost(cost_cfg, fresh_as, "c");
+        GroupingTable fresh_group(group_cfg, group_size, fresh_as, "g");
+
+        std::vector<std::uint32_t> order, fresh_order;
+        const std::uint64_t probes = rng.below(1500);
+        for (std::uint64_t i = 0; i < probes; ++i) {
+            const auto key = static_cast<std::uint32_t>(rng.below(3000));
+            ProbeTraffic a, b;
+            ASSERT_EQ(unique.probe(key, a), fresh_unique.probe(key, b))
+                << "round " << round << " probe " << i;
+            ASSERT_TRUE(same(a, b));
+
+            const auto c = static_cast<std::uint32_t>(rng.below(100));
+            ASSERT_EQ(cost.probe(key, c, a), fresh_cost.probe(key, c, b))
+                << "round " << round << " probe " << i;
+            ASSERT_TRUE(same(a, b));
+
+            const std::uint64_t line = rng.below(600);
+            const auto elem = static_cast<std::uint32_t>(i);
+            group.probe(line, elem, order, a);
+            fresh_group.probe(line, elem, fresh_order, b);
+            ASSERT_TRUE(same(a, b));
+            ASSERT_EQ(order, fresh_order);
+        }
+        // End the round with a flush (the end of an operation) or
+        // drop the groups unseen.
+        if (rng.chance(0.5)) {
+            group.flush(order);
+            fresh_group.flush(fresh_order);
+            ASSERT_EQ(order, fresh_order) << "round " << round;
+            ASSERT_EQ(order.size(), probes);
+        }
+        unique.reset();
+        cost.reset();
+        group.reset();
+    }
+
+    if constexpr (sim::checksEnabled) {
+        // Stale entries left behind by resets keep their parity, so
+        // a bit flipped in one — every way is stale right after a
+        // reset — is still caught by the next probe of its set.
+        ErrorTrapGuard trap;
+        auto expect_parity_trip = [](auto &&probe) {
+            try {
+                probe();
+                ADD_FAILURE() << "a corrupted entry went unnoticed";
+            } catch (const SimError &e) {
+                EXPECT_EQ(e.kind(), FailureKind::Invariant);
+                EXPECT_NE(std::string(e.what()).find("parity"),
+                          std::string::npos)
+                    << e.what();
+            }
+        };
+        for (int trial = 0; trial < 8; ++trial) {
+            mem::AddressSpace trial_as(1ULL << 28);
+            UniqueFilterTable u(unique_cfg, trial_as, "u");
+            BestCostFilterTable b(cost_cfg, trial_as, "c");
+            ProbeTraffic t;
+            for (int r = 0; r < 3; ++r) {
+                for (int i = 0; i < 500; ++i) {
+                    const auto key =
+                        static_cast<std::uint32_t>(rng.below(3000));
+                    u.probe(key, t);
+                    b.probe(key, static_cast<std::uint32_t>(i), t);
+                }
+                u.reset();
+                b.reset();
+            }
+            const auto key = static_cast<std::uint32_t>(rng.below(3000));
+            u.corruptForKey(key, rng);
+            b.corruptForKey(key, rng);
+            expect_parity_trip([&] { u.probe(key, t); });
+            expect_parity_trip([&] { b.probe(key, 0, t); });
+        }
+    }
 }
 
 TEST(ScuWindow, RandomOpsMatchPriorityQueue)

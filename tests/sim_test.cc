@@ -1,16 +1,21 @@
 /**
  * @file
  * Unit tests for the simulation kernel: event queue ordering, clock
- * domain conversions and the fast-forwarding run loop.
+ * domain conversions and the fast-forwarding run and step loops.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <memory>
 #include <vector>
 
+#include "common/rng.hh"
 #include "sim/clock.hh"
 #include "sim/clocked.hh"
 #include "sim/event_queue.hh"
+#include "sim/fault.hh"
 #include "sim/simulation.hh"
 
 using namespace scusim;
@@ -166,4 +171,173 @@ TEST(Simulation, StepAdvancesExactly)
     Simulation s;
     s.step(7);
     EXPECT_EQ(s.now(), 7u);
+}
+
+namespace
+{
+
+/** One serviced thing: a component's tick() or an event. */
+struct Serviced
+{
+    Tick tick;
+    int who; ///< component index, or 1000 + event id
+
+    bool operator==(const Serviced &) const = default;
+};
+
+/**
+ * A component with a script of work: at each wake tick it turns busy
+ * for a number of ticks. Events may add work at any time, calling
+ * notifyWake() as out-of-band work arrival requires.
+ */
+class ScriptedClocked : public Clocked
+{
+  public:
+    ScriptedClocked(int id, std::vector<Serviced> &log)
+        : id(id), log(log)
+    {}
+
+    void
+    give(Tick at, int ticks)
+    {
+        work.emplace(at, ticks);
+    }
+
+    void
+    tick(Tick now) override
+    {
+        log.push_back({now, id});
+        auto it = work.begin();
+        if (--it->second == 0)
+            work.erase(it);
+        noteProgress();
+    }
+
+    bool
+    busy(Tick now) const override
+    {
+        return !work.empty() && work.begin()->first <= now;
+    }
+
+    Tick
+    nextWakeTick() const override
+    {
+        return work.empty() ? tickNever : work.begin()->first;
+    }
+
+  private:
+    int id;
+    std::vector<Serviced> &log;
+    std::multimap<Tick, int> work; ///< wake tick -> busy ticks
+};
+
+/**
+ * A seeded scenario: components with scripted work, events at random
+ * ticks that log themselves, schedule follow-ups and hand components
+ * new work. Two scenarios built from the same seed are identical.
+ */
+struct StepScenario
+{
+    StepScenario(std::uint64_t seed, SchedulerMode mode, bool freeze)
+        : rng(seed)
+    {
+        sim.setScheduler(mode);
+        if (freeze) {
+            FaultPlan plan;
+            plan.add({.kind = FaultKind::ComponentFreeze,
+                      .at = 700,
+                      .target = 2});
+            sim.installFaultInjector(
+                std::make_unique<FaultInjector>(plan, seed));
+        }
+        for (int i = 0; i < 6; ++i) {
+            comps.push_back(std::make_unique<ScriptedClocked>(i, log));
+            for (int w = 0; w < 8; ++w)
+                comps.back()->give(rng.below(3000),
+                                   static_cast<int>(rng.range(1, 20)));
+            sim.addClocked(comps.back().get());
+        }
+        for (int e = 0; e < 120; ++e)
+            schedule(rng.below(3000));
+    }
+
+    void
+    schedule(Tick at)
+    {
+        const int id = nextEvent++;
+        eventTicks.push_back(at);
+        sim.events().schedule(at, [this, id](Tick now) {
+            log.push_back({now, 1000 + id});
+            if (rng.chance(0.3))
+                schedule(now + rng.below(40));
+            if (rng.chance(0.5)) {
+                ScriptedClocked &c = *comps[rng.below(comps.size())];
+                c.give(now + rng.below(3),
+                       static_cast<int>(rng.range(1, 5)));
+                c.notifyWake();
+            }
+        });
+    }
+
+    Rng rng;
+    Simulation sim;
+    std::vector<Serviced> log;
+    std::vector<std::unique_ptr<ScriptedClocked>> comps;
+    std::vector<Tick> eventTicks;
+    int nextEvent = 0;
+};
+
+void
+expectStepMatchesSingleSteps(SchedulerMode mode, bool freeze)
+{
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+        StepScenario fast(seed, mode, freeze), single(seed, mode, freeze);
+        Rng windows(seed * 977);
+        std::size_t edges = 0;
+        while (fast.sim.now() < 3300) {
+            const Tick now = fast.sim.now();
+            // Half the windows end on, or just past, an event tick,
+            // so events on the window's last tick and one past it are
+            // both covered.
+            Tick n = windows.below(80);
+            std::vector<Tick> ahead;
+            for (Tick at : fast.eventTicks)
+                if (at >= now)
+                    ahead.push_back(at);
+            std::sort(ahead.begin(), ahead.end());
+            if (!ahead.empty() && windows.chance(0.5)) {
+                const Tick at = ahead[windows.below(
+                    std::min<std::size_t>(3, ahead.size()))];
+                n = at - now + windows.below(2);
+                ++edges;
+            }
+            fast.sim.step(n);
+            for (Tick i = 0; i < n; ++i)
+                single.sim.step(1);
+            ASSERT_EQ(fast.sim.now(), single.sim.now());
+            ASSERT_EQ(fast.log, single.log)
+                << "seed " << seed << ", window [" << now << ", "
+                << now + n << ")";
+        }
+        EXPECT_GT(fast.log.size(), 500u);
+        EXPECT_GT(edges, 25u);
+        if (freeze) {
+            for (const Serviced &s : fast.log)
+                EXPECT_FALSE(s.who == 2 && s.tick >= 700)
+                    << "frozen component ticked at " << s.tick;
+        }
+    }
+}
+
+} // namespace
+
+TEST(Simulation, StepMatchesSingleSteps)
+{
+    // step(n) jumps across ticks where nothing is due; it must
+    // service the same events and components, at the same ticks and
+    // in the same order, as n calls of step(1).
+    expectStepMatchesSingleSteps(SchedulerMode::EventDriven, false);
+    expectStepMatchesSingleSteps(SchedulerMode::Polling, false);
+    expectStepMatchesSingleSteps(SchedulerMode::EventDriven, true);
+    expectStepMatchesSingleSteps(SchedulerMode::Polling, true);
 }

@@ -16,6 +16,8 @@ Then it makes --traced `--trace 1` runs per side and compares the
 exact counters (perfbench/workloads.json, "metric_kinds.exact").
 Exits non-zero if a run fails, or if any cell's simulated cycles or
 stats-dump digest, or any exact counter, differs between the sides.
+With --pairs 0 it makes no timed runs and prints only that
+model-identity result.
 
     python3 tools/perf_ab.py --ref HEAD --workload scu-dense \
         --seed 1 --pairs 10
@@ -99,40 +101,10 @@ def compare_cells(label, parent, change):
     return bad
 
 
-def main():
-    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    p.add_argument("--ref", required=True,
-                   help="parent commit (any git revision)")
-    p.add_argument("--workload", required=True)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--pairs", type=int, default=10)
-    p.add_argument("--traced", type=int, default=1,
-                   help="--trace 1 runs per side (0 skips them)")
-    p.add_argument("--workdir",
-                   default=os.path.join(tempfile.gettempdir(),
-                                        "scusim_perf_ab"),
-                   help="where the parent copy is built")
-    args = p.parse_args()
-
-    bench = load_json("BENCHMARK.json")
-    exact = load_json("perfbench", "workloads.json")["metric_kinds"][
-        "exact"]
-    sha, parent_root = checkout(args.ref, args.workdir)
-    sides = {"parent": parent_root, "change": ROOT}
-    print("perf_ab: %s, parent %s, change %s" %
-          (args.workload, sha[:12], ROOT))
-
+def timed_pairs(args, sides, reference, bench):
+    """Alternating timed pairs; prints per-pair wall_ref, medians,
+    quartiles, wins and the end-to-end metrics. Returns failures."""
     failures = []
-    reference = {}
-    # A short untimed run per side builds it and records its cells.
-    for side in ("parent", "change"):
-        ok, _, cells = run(sides[side], args, 0, seconds=1)
-        if not ok:
-            failures.append("%s warm-up run failed" % side)
-        reference[side] = cells
-    failures += compare_cells("warm-up", reference["parent"],
-                              reference["change"])
-
     samples = {"parent": [], "change": []}
     wins = 0
     for i in range(args.pairs):
@@ -179,6 +151,49 @@ def main():
               "bound %.0f%%  %s" %
               (name, pa, pb, 100 * worse, 100 * m["bound"],
                "ok" if worse <= m["bound"] else "OVER BOUND"))
+    return failures
+
+
+def main():
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("--ref", required=True,
+                   help="parent commit (any git revision)")
+    p.add_argument("--workload", required=True)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--pairs", type=int, default=10)
+    p.add_argument("--traced", type=int, default=1,
+                   help="--trace 1 runs per side (0 skips them)")
+    p.add_argument("--workdir",
+                   default=os.path.join(tempfile.gettempdir(),
+                                        "scusim_perf_ab"),
+                   help="where the parent copy is built")
+    args = p.parse_args()
+
+    bench = load_json("BENCHMARK.json")
+    exact = load_json("perfbench", "workloads.json")["metric_kinds"][
+        "exact"]
+    sha, parent_root = checkout(args.ref, args.workdir)
+    if not os.path.exists(os.path.join(parent_root, "perfbench",
+                                       "run.py")):
+        sys.exit("perf_ab: %s has no perfbench/run.py to compare "
+                 "against" % sha[:12])
+    sides = {"parent": parent_root, "change": ROOT}
+    print("perf_ab: %s, parent %s, change %s" %
+          (args.workload, sha[:12], ROOT))
+
+    failures = []
+    reference = {}
+    # A short untimed run per side builds it and records its cells.
+    for side in ("parent", "change"):
+        ok, _, cells = run(sides[side], args, 0, seconds=1)
+        if not ok:
+            failures.append("%s warm-up run failed" % side)
+        reference[side] = cells
+    failures += compare_cells("warm-up", reference["parent"],
+                              reference["change"])
+
+    if args.pairs:
+        failures += timed_pairs(args, sides, reference, bench)
 
     traced = {"parent": [], "change": []}
     for i in range(args.traced):
@@ -193,14 +208,20 @@ def main():
         failures += compare_cells("traced %d" % (i + 1),
                                   traced_cells["parent"],
                                   traced_cells["change"])
+    counters = 0
     for pm, cm in zip(traced["parent"], traced["change"]):
         for name in exact:
             if name in pm or name in cm:
+                counters += 1
                 if pm.get(name) != cm.get(name):
                     failures.append("exact counter %s: parent %s, "
                                     "change %s" % (name, pm.get(name),
                                                    cm.get(name)))
-    if traced["parent"]:
+    print("model identity: %d cells, %d traced run(s), %d exact "
+          "counters: %s" % (len(reference["change"]), args.traced,
+                            counters,
+                            "FAIL" if failures else "identical"))
+    if traced["parent"] and args.pairs:
         print("layer probes (medians of %d traced run(s) per side):" %
               len(traced["parent"]))
         for m in bench["per_layer"]:

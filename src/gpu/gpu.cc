@@ -70,15 +70,17 @@ mergeLanes(std::span<const ThreadOp> ops,
         }
         // Slot-per-lane handoff: lane i's address lives in slot i,
         // the mask says which slots participate.
-        const std::span<Addr> slots = out.appendMem(kind, 0);
-        WarpInstr &wi = out.instrs.back();
+        std::uint64_t mask = 0;
         for (std::uint64_t m = live; m; m &= m - 1) {
+            if (ops[pos[ctz64(m)]].kind == kind)
+                mask |= m & -m;
+        }
+        const std::span<Addr> slots = out.appendMem(kind, mask);
+        WarpInstr &wi = out.instrs.back();
+        for (std::uint64_t m = mask; m; m &= m - 1) {
             const unsigned i = ctz64(m);
             const ThreadOp &op = ops[pos[i]];
-            if (op.kind != kind)
-                continue;
             slots[i] = op.addr;
-            wi.laneMask |= std::uint64_t{1} << i;
             wi.bytesPerLane = std::max(wi.bytesPerLane, op.count);
             if (++pos[i] == laneEnd[i])
                 live &= ~(std::uint64_t{1} << i);

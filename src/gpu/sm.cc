@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cstdlib>
 #include <string>
 
@@ -78,6 +79,7 @@ StreamingMultiprocessor::StreamingMultiprocessor(
     wPc.reserve(p.maxResidentWarps());
     wComputeLeft.reserve(p.maxResidentWarps());
     wNumInstrs.reserve(p.maxResidentWarps());
+    farHeap.reserve(p.maxResidentWarps());
 }
 
 void
@@ -132,6 +134,7 @@ StreamingMultiprocessor::refill()
         const std::size_t s = body.size();
         const std::uint64_t bit = std::uint64_t{1} << s;
         body.push_back(freeWarps.back());
+        slotOf[freeWarps.back()] = static_cast<std::uint8_t>(s);
         freeWarps.pop_back();
         wBlocked.push_back(w.blockedUntil);
         wPc.push_back(static_cast<std::uint32_t>(w.pc));
@@ -142,47 +145,98 @@ StreamingMultiprocessor::refill()
             doneMask |= bit;
         // A slot arriving blocked in the past is promoted by the
         // next advanceReady(); nothing reads the masks in between.
-        if (wBlocked[s] == 0) {
+        if (wBlocked[s] == 0)
             readyMask |= bit;
-        } else {
-            farMask |= bit;
-            farMin = std::min(farMin, wBlocked[s]);
-            blockedMin = std::min(blockedMin, wBlocked[s]);
-        }
+        else
+            pushFar(s, wBlocked[s]);
     }
     recomputeWake();
 }
 
-Tick
-StreamingMultiprocessor::promoteDue(std::uint64_t slots, Tick now)
+void
+StreamingMultiprocessor::pushFar(std::size_t s, Tick until)
 {
-    Tick rest = tickNever;
-    for (std::uint64_t m = slots; m; m &= m - 1) {
-        const std::size_t s = ctz64(m);
-        if (wBlocked[s] <= now)
-            readyMask |= std::uint64_t{1} << s;
-        else
-            rest = std::min(rest, wBlocked[s]);
-    }
-    return rest;
+    panic_if(until >> (64 - kFarWarpBits),
+             "blockedUntil %llu overflows the far-heap key",
+             static_cast<unsigned long long>(until));
+    farHeap.push_back(until << kFarWarpBits | body[s]);
+    std::push_heap(farHeap.begin(), farHeap.end(), std::greater<>{});
+    farMin = std::min(farMin, until);
+    blockedMin = std::min(blockedMin, until);
 }
 
 void
 StreamingMultiprocessor::advanceReady(Tick now)
 {
-    if (blockedMin > now)
-        return;
-    const std::uint64_t blocked =
-        maskLow(static_cast<unsigned>(body.size())) & ~readyMask;
-    // Each class is rescanned only once its own minimum has come due,
-    // so the long memory waits are not walked on every ALU wake-up.
-    if (nearMin <= now)
-        nearMin = promoteDue(blocked & ~farMask, now);
-    if (farMin <= now) {
-        farMin = promoteDue(blocked & farMask, now);
-        farMask &= ~readyMask;
+    if (blockedMin <= now) {
+        if (nearMin <= now) {
+            // The due buckets are (wheelBase, min(now, wheelBase +
+            // kNearHorizon)]: rotate bucket wheelBase + 1 to bit 0.
+            const int first =
+                static_cast<int>((wheelBase + 1) % kWheelBuckets);
+            const Tick span = std::min(now - wheelBase, kNearHorizon);
+            for (std::uint64_t due = std::rotr(wheelOcc, first) &
+                                     maskLow(static_cast<unsigned>(span));
+                 due; due &= due - 1) {
+                const unsigned b = (first + ctz64(due)) % kWheelBuckets;
+                for (std::uint64_t w = wheel[b]; w; w &= w - 1)
+                    readyMask |= std::uint64_t{1} << slotOf[ctz64(w)];
+                wheel[b] = 0;
+                wheelOcc &= ~(std::uint64_t{1} << b);
+            }
+            // What is left lies in (now, now + kNearHorizon].
+            const int next = static_cast<int>((now + 1) % kWheelBuckets);
+            nearMin = wheelOcc ? now + 1 + ctz64(std::rotr(wheelOcc, next))
+                               : tickNever;
+        }
+        if (farMin <= now) {
+            constexpr std::uint64_t warp_mask = kMaxWarpSlots - 1;
+            while (!farHeap.empty() &&
+                   (farHeap.front() >> kFarWarpBits) <= now) {
+                readyMask |= std::uint64_t{1}
+                             << slotOf[farHeap.front() & warp_mask];
+                std::pop_heap(farHeap.begin(), farHeap.end(),
+                              std::greater<>{});
+                farHeap.pop_back();
+            }
+            farMin = farHeap.empty() ? tickNever
+                                     : farHeap.front() >> kFarWarpBits;
+        }
+        blockedMin = std::min(nearMin, farMin);
     }
-    blockedMin = std::min(nearMin, farMin);
+    // No wheel entry is <= now, so the entries (all added at or after
+    // the old base) lie in (now, now + kNearHorizon].
+    wheelBase = now;
+    if constexpr (sim::checksEnabled)
+        checkPromotion(now);
+}
+
+void
+StreamingMultiprocessor::checkPromotion(Tick now) const
+{
+    std::uint64_t due = 0;
+    for (std::size_t s = 0; s < body.size(); ++s) {
+        if (wBlocked[s] <= now)
+            due |= std::uint64_t{1} << s;
+    }
+    sim_check(readyMask == due,
+              "sm%u promoted set %#llx at tick %llu disagrees with the "
+              "linear scan %#llx",
+              smId, static_cast<unsigned long long>(readyMask),
+              static_cast<unsigned long long>(now),
+              static_cast<unsigned long long>(due));
+    std::uint64_t in_wheel = 0;
+    for (const std::uint64_t b : wheel) {
+        sim_check(!(in_wheel & b), "sm%u: a warp sits in two wheel "
+                                   "buckets", smId);
+        in_wheel |= b;
+    }
+    std::uint64_t in_heap = 0;
+    for (const std::uint64_t e : farHeap)
+        in_heap |= std::uint64_t{1} << (e & (kMaxWarpSlots - 1));
+    sim_check(!(in_wheel & in_heap),
+              "sm%u: warps %#llx sit in both the wheel and the heap",
+              smId, static_cast<unsigned long long>(in_wheel & in_heap));
 }
 
 void
@@ -332,51 +386,41 @@ StreamingMultiprocessor::issueSlot(std::size_t s, Tick now)
     if (blocked_until > now) {
         readyMask &= ~(std::uint64_t{1} << s);
         if (blocked_until - now > kNearHorizon) {
-            farMask |= std::uint64_t{1} << s;
-            farMin = std::min(farMin, blocked_until);
+            pushFar(s, blocked_until);
         } else {
+            const unsigned b =
+                static_cast<unsigned>(blocked_until) % kWheelBuckets;
+            wheel[b] |= std::uint64_t{1} << body[s];
+            wheelOcc |= std::uint64_t{1} << b;
             nearMin = std::min(nearMin, blocked_until);
+            blockedMin = std::min(blockedMin, blocked_until);
         }
-        blockedMin = std::min(blockedMin, blocked_until);
     }
 }
 
 void
 StreamingMultiprocessor::compactRetired(std::uint64_t retire)
 {
-    const std::size_t n = body.size();
     for (std::uint64_t m = retire; m; m &= m - 1)
         freeWarps.push_back(body[ctz64(m)]);
-    // Slots below the first retired one keep their index and bits;
-    // from there on k < j, so every survivor moves down.
-    std::size_t k = ctz64(retire);
-    const std::uint64_t prefix = maskLow(static_cast<unsigned>(k));
-    std::uint64_t new_ready = readyMask & prefix;
-    std::uint64_t new_done = doneMask & prefix;
-    std::uint64_t new_far = farMask & prefix;
-    for (std::size_t j = k + 1; j < n; ++j) {
-        if ((retire >> j) & 1)
-            continue;
-        body[k] = body[j];
-        wBlocked[k] = wBlocked[j];
-        wPc[k] = wPc[j];
-        wComputeLeft[k] = wComputeLeft[j];
-        wNumInstrs[k] = wNumInstrs[j];
-        new_ready |= ((readyMask >> j) & 1) << k;
-        new_done |= ((doneMask >> j) & 1) << k;
-        new_far |= ((farMask >> j) & 1) << k;
-        ++k;
+    // Remove one slot at a time from the highest down, so each shift
+    // leaves the lower retired slots where they are.
+    for (std::uint64_t m = retire; m;) {
+        const unsigned r = 63 - static_cast<unsigned>(std::countl_zero(m));
+        m &= ~(std::uint64_t{1} << r);
+        body.erase(body.begin() + r);
+        wBlocked.erase(wBlocked.begin() + r);
+        wPc.erase(wPc.begin() + r);
+        wComputeLeft.erase(wComputeLeft.begin() + r);
+        wNumInstrs.erase(wNumInstrs.begin() + r);
+        const std::uint64_t low = maskLow(r);
+        readyMask = (readyMask & low) | ((readyMask >> 1) & ~low);
+        doneMask = (doneMask & low) | ((doneMask >> 1) & ~low);
     }
-    body.resize(k);
-    wBlocked.resize(k);
-    wPc.resize(k);
-    wComputeLeft.resize(k);
-    wNumInstrs.resize(k);
-    readyMask = new_ready;
-    doneMask = new_done;
-    farMask = new_far;
-    // Retired slots were all ready, so the blocked set — and its
-    // minima — are unchanged.
+    // Retired slots were all ready, so the wheel, the heap and the
+    // blocked minima are unchanged; only the moved warps' slots are.
+    for (std::size_t k = ctz64(retire); k < body.size(); ++k)
+        slotOf[body[k]] = static_cast<std::uint8_t>(k);
 }
 
 void

@@ -9,20 +9,26 @@
  * reads — blockedUntil, pc, computeLeft, instruction count — in
  * parallel packed arrays (SoA) beside 64-bit ready/done masks, so a
  * serviced cycle walks a handful of cache lines instead of a vector
- * of fat Warp structs. A reference scan path (`SmIssuePath`) keeps
- * the straightforward linear loop alive as an equivalence oracle.
+ * of fat Warp structs. Blocked warps wait for promotion in a timing
+ * wheel (short ALU waits) or a min-heap (memory waits), keyed by
+ * stable warp index, so waking costs O(woken). A reference scan path
+ * (`SmIssuePath`) keeps the straightforward linear loop alive as an
+ * equivalence oracle.
  */
 
 #ifndef SCUSIM_GPU_SM_HH
 #define SCUSIM_GPU_SM_HH
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <queue>
 #include <span>
+#include <utility>
 #include <vector>
 
+#include "common/bits.hh"
 #include "gpu/gpu_config.hh"
 #include "gpu/kernel.hh"
 #include "mem/cache.hh"
@@ -61,6 +67,38 @@ struct WarpInstr
 };
 
 /**
+ * Allocator whose value-initialization is a no-op for trivial types,
+ * so `resize()` on a vector of them leaves the new elements
+ * unwritten. The warp address pool uses it: every slot is written
+ * before it is read, so zero-filling them first is wasted work.
+ */
+template <typename T>
+struct DefaultInitAllocator : std::allocator<T>
+{
+    template <typename U>
+    struct rebind
+    {
+        using other = DefaultInitAllocator<U>;
+    };
+
+    using std::allocator<T>::allocator;
+
+    template <typename U>
+    void
+    construct(U *p)
+    {
+        ::new (static_cast<void *>(p)) U;
+    }
+
+    template <typename U, typename... Args>
+    void
+    construct(U *p, Args &&...args)
+    {
+        ::new (static_cast<void *>(p)) U(std::forward<Args>(args)...);
+    }
+};
+
+/**
  * A warp as handed over by the dispatcher: merged instruction stream,
  * its lane-address pool and initial pipeline state. The SM owns one
  * Warp per resident slot and has the source fill a retired one in
@@ -72,7 +110,7 @@ struct Warp
 {
     std::vector<WarpInstr> instrs;
     /** Lane-address pool: each mem op owns `threads` slots. */
-    std::vector<Addr> addrs;
+    std::vector<Addr, DefaultInitAllocator<Addr>> addrs;
     std::size_t pc = 0;
     std::uint32_t computeLeft = 0; ///< remaining issues of current op
     Tick blockedUntil = 0;
@@ -83,8 +121,9 @@ struct Warp
 
     /**
      * Append a mem op over the lanes of @p mask and return its
-     * `threads` zero-filled address slots (valid until the next
-     * append). Set `threads` first.
+     * `threads` address slots (valid until the next append). Slots
+     * outside @p mask read 0; the caller writes the others. Set
+     * `threads` first.
      */
     std::span<Addr>
     appendMem(ThreadOp::Kind kind, std::uint64_t mask)
@@ -94,8 +133,11 @@ struct Warp
         wi.addrBase = static_cast<std::uint32_t>(addrs.size());
         wi.laneMask = mask;
         instrs.push_back(wi);
-        addrs.resize(addrs.size() + threads, 0);
-        return {addrs.data() + wi.addrBase, threads};
+        addrs.resize(addrs.size() + threads);
+        Addr *slots = addrs.data() + wi.addrBase;
+        for (std::uint64_t m = ~mask & maskLow(threads); m; m &= m - 1)
+            slots[ctz64(m)] = 0;
+        return {slots, threads};
     }
 
     /** The address slots of mem op @p wi. */
@@ -136,6 +178,14 @@ class StreamingMultiprocessor : public sim::Clocked
     static constexpr unsigned kMaxWarpSlots = 64;
     static_assert(kMaxWarpSlots <= 64,
                   "ready/done masks are single 64-bit words");
+    /**
+     * Blocks of at most this many ticks (ALU dependence waits) wait
+     * for promotion on a timing wheel; longer ones (memory waits) and
+     * warps that arrive blocked wait on a heap. Any split gives the
+     * same promotions; this one only decides which structure holds a
+     * warp.
+     */
+    static constexpr Tick kNearHorizon = 32;
 
     StreamingMultiprocessor(const GpuParams &params, unsigned id,
                             mem::MemLevel *shared_mem,
@@ -172,20 +222,26 @@ class StreamingMultiprocessor : public sim::Clocked
     static void clearDefaultIssuePathOverride();
 
   private:
+    friend class SmTestPeer; ///< check_test's corruption hook
+
     /**
-     * Promote blocked slots whose blockedUntil has arrived into
-     * readyMask and re-derive blockedMin over the rest. No-op (one
-     * compare) while blockedMin is still in the future — the
-     * wholly-blocked rejection that keeps stall-adjacent ticks off
-     * the warp arrays entirely.
+     * Promote the blocked warps whose blockedUntil has arrived into
+     * readyMask and re-derive blockedMin over the rest, visiting only
+     * the wheel buckets and heap entries that came due. One compare
+     * while blockedMin is still in the future — the wholly-blocked
+     * rejection that keeps stall-adjacent ticks off the warp arrays
+     * entirely.
      */
     void advanceReady(Tick now);
 
+    /** Park slot @p s, blocked until @p until, in the far heap. */
+    void pushFar(std::size_t s, Tick until);
+
     /**
-     * Set the readyMask bits of the @p slots whose blockedUntil has
-     * arrived; return the minimum blockedUntil of the others.
+     * Checked builds: the ready set is exactly {s : wBlocked[s] <=
+     * now} and no warp waits in both the wheel and the heap.
      */
-    Tick promoteDue(std::uint64_t slots, Tick now);
+    void checkPromotion(Tick now) const;
 
     /**
      * Issue slot @p s's current instruction. The caller guarantees
@@ -203,10 +259,11 @@ class StreamingMultiprocessor : public sim::Clocked
 
     /**
      * Remove the slots of @p retire, preserving the relative order of
-     * the survivors (an order-preserving two-pointer compaction — a
+     * the survivors (one remove-one-slot shift per retired slot — a
      * swap-with-back would permute round-robin issue order and break
      * the byte-identical-stats mandate; see DESIGN). The retired
      * slots' warps go back on `freeWarps` for refill() to reuse.
+     * Blocked warps are keyed by warp index, so only `slotOf` moves.
      */
     void compactRetired(std::uint64_t retire);
 
@@ -245,39 +302,56 @@ class StreamingMultiprocessor : public sim::Clocked
 
     /**
      * Resident warps in SoA layout, index = slot. `body` names each
-     * slot's cold half in `warps`; the packed arrays below are
-     * everything the per-cycle scan reads, so the scan streams over
-     * ~n*16 bytes instead of n fat structs.
+     * slot's cold half in `warps` (its stable warp index, kept for
+     * the warp's whole stay while slots shift under retirement);
+     * `slotOf` is the inverse. The packed arrays below are everything
+     * the per-cycle scan reads, so the scan streams over ~n*16 bytes
+     * instead of n fat structs.
      * Invariants (outside tick()):
      *  - readyMask bit s set  ⇔ wBlocked[s] <= some past now (ticks
      *    are monotone, so ready slots never revert on their own);
      *  - doneMask bit s set   ⇔ wPc[s] >= wNumInstrs[s];
-     *  - farMask ⊆ blocked slots: those that blocked for more than
-     *    kNearHorizon ticks (memory waits) or arrived blocked;
-     *  - nearMin / farMin == exact min wBlocked[] over the blocked
-     *    slots outside / inside farMask (tickNever when none);
+     *  - every blocked slot's warp waits in exactly one of the wheel
+     *    and the heap; ready warps in neither;
+     *  - nearMin / farMin == exact min blockedUntil over the wheel /
+     *    heap (tickNever when empty);
      *  - blockedMin == min(nearMin, farMin) == exact min wBlocked[]
      *    over slots NOT in readyMask (tickNever when none);
      *  - masks never carry bits >= body.size().
      */
     std::vector<std::uint8_t> body;
+    std::array<std::uint8_t, kMaxWarpSlots> slotOf{};
     std::vector<Tick> wBlocked;
     std::vector<std::uint32_t> wPc;
     std::vector<std::uint32_t> wComputeLeft;
     std::vector<std::uint32_t> wNumInstrs;
     std::uint64_t readyMask = 0;
     std::uint64_t doneMask = 0;
-    std::uint64_t farMask = 0;
     Tick nearMin = tickNever;
     Tick farMin = tickNever;
     Tick blockedMin = tickNever;
+    static constexpr unsigned kWheelBuckets = 64;
+    static_assert(kNearHorizon < kWheelBuckets,
+                  "a wheel bucket must name one tick of the horizon");
     /**
-     * Blocks longer than this are "far" (memory waits): advanceReady
-     * rescans them only when farMin comes due, not whenever a short
-     * ALU dependence wait ends. Any split gives the same promotions;
-     * this one only decides how often each class is scanned.
+     * Near timing wheel: bucket t % 64 holds the warp-index mask of
+     * the warps blocked until tick t; bit b of wheelOcc is set iff
+     * bucket b is non-empty. After advanceReady(L) every entry lies
+     * in (L, L + kNearHorizon] (entries are only added right after
+     * it, by issueSlot), so each bucket names exactly one tick and
+     * the next call walks only (L, min(now, L + kNearHorizon)].
      */
-    static constexpr Tick kNearHorizon = 32;
+    std::array<std::uint64_t, kWheelBuckets> wheel{};
+    std::uint64_t wheelOcc = 0;
+    Tick wheelBase = 0; ///< L: tick of the last advanceReady()
+    /**
+     * Far min-heap (std::greater) of blockedUntil << kFarWarpBits |
+     * warp index, at most one entry per warp.
+     */
+    std::vector<std::uint64_t> farHeap;
+    static constexpr unsigned kFarWarpBits = 6;
+    static_assert(kMaxWarpSlots == 1u << kFarWarpBits,
+                  "a far-heap key's low bits name any warp index");
 
     std::size_t rrCursor = 0;
     bool sourceDry = true;

@@ -19,16 +19,21 @@ InflightTable::probe(Addr line) const
     return i;
 }
 
-Tick *
-InflightTable::find(Addr line)
+std::optional<Tick>
+InflightTable::find(Addr line) const
 {
-    Slot &s = slots[probe(line)];
-    return used(s) ? &s.fill : nullptr;
+    const Slot &s = slots[probe(line)];
+    if (!used(s))
+        return std::nullopt;
+    return s.fill();
 }
 
 void
 InflightTable::set(Addr line, Tick fill)
 {
+    panic_if(fill >= kTickLimit,
+             "in-flight fill tick %llu does not fit the slot's %u bits",
+             static_cast<unsigned long long>(fill), 64 - kGenBits);
     std::size_t i = probe(line);
     if (!used(slots[i])) {
         // Load factor stays at or below one half.
@@ -37,10 +42,9 @@ InflightTable::set(Addr line, Tick fill)
             i = probe(line);
         }
         slots[i].line = line;
-        slots[i].gen = gen;
         ++count;
     }
-    slots[i].fill = fill;
+    slots[i].fillGen = fill << kGenBits | gen;
 }
 
 void
@@ -65,7 +69,7 @@ InflightTable::eraseSlot(std::size_t i)
             i = j;
         }
     }
-    slots[i].gen = 0;
+    slots[i].fillGen = 0;
     --count;
 }
 
@@ -78,7 +82,7 @@ InflightTable::eraseUpTo(Tick t)
     // wraps round from the table's start was visited and kept, and is
     // merely examined again.
     for (std::size_t i = 0; i < slots.size() && count;) {
-        if (used(slots[i]) && slots[i].fill <= t)
+        if (used(slots[i]) && slots[i].fill() <= t)
             eraseSlot(i);
         else
             ++i;
@@ -89,10 +93,10 @@ void
 InflightTable::clear()
 {
     count = 0;
-    if (++gen == 0) {
+    if (++gen > kGenMask) {
         // Generation wrap: forget every stamp before reusing them.
         for (Slot &s : slots)
-            s.gen = 0;
+            s.fillGen = 0;
         gen = 1;
     }
 }
@@ -278,7 +282,7 @@ Cache::access(Tick issue, Addr addr, AccessKind kind, unsigned bytes)
         // the fill (secondary miss merged into the MSHR).
         Tick avail = start + p.hitLatency;
         if (l.mayBeInflight) {
-            const Tick *fill_tick = inflight.find(line_addr);
+            const std::optional<Tick> fill_tick = inflight.find(line_addr);
             if (fill_tick && *fill_tick > start) {
                 avail = std::max(avail, *fill_tick);
             } else {

@@ -12,6 +12,7 @@
 #ifndef SCUSIM_MEM_CACHE_HH
 #define SCUSIM_MEM_CACHE_HH
 
+#include <optional>
 #include <queue>
 #include <string>
 #include <vector>
@@ -41,20 +42,32 @@ struct CacheParams
 /**
  * In-flight line fills for secondary-miss merging: a flat
  * open-addressed line→fill-tick map with power-of-two capacity,
- * linear probing and backward-shift erase. Every slot carries the
- * generation it was written in, so clear() — each L1 invalidation at
- * a kernel boundary — costs O(1) however far the table once grew.
+ * linear probing and backward-shift erase. A slot is 16 bytes: the
+ * line, and one word packing the fill tick (high 56 bits) with the
+ * generation it was written in (low 8 bits), so clear() — each L1
+ * invalidation at a kernel boundary — costs O(1) however far the
+ * table once grew; every 255th clear() resets the stamps once.
  * Capacity is kept across clears and erases, so a table that has
  * reached its working size allocates nothing.
  */
 class InflightTable
 {
   public:
+    static constexpr unsigned kGenBits = 8;
+    /**
+     * Fill ticks must be below this (56 bits), which leaves room for
+     * the 10^15-tick completions of an injected MemDelay fault.
+     */
+    static constexpr Tick kTickLimit = Tick{1} << (64 - kGenBits);
+
     InflightTable() { slots.resize(kMinSlots); }
 
-    /** The fill tick recorded for @p line, or null. */
-    Tick *find(Addr line);
-    /** Record @p line's fill tick, overwriting any earlier one. */
+    /** The fill tick recorded for @p line, if any. */
+    std::optional<Tick> find(Addr line) const;
+    /**
+     * Record @p line's fill tick, overwriting any earlier one. Panics
+     * unless @p fill < kTickLimit.
+     */
     void set(Addr line, Tick fill);
     /** Drop @p line's entry, if any. */
     void erase(Addr line);
@@ -64,15 +77,20 @@ class InflightTable
     std::size_t size() const { return count; }
 
   private:
+    static constexpr std::uint64_t kGenMask = (1u << kGenBits) - 1;
+
     struct Slot
     {
         Addr line = 0;
-        Tick fill = 0;
-        std::uint32_t gen = 0; ///< occupied iff == the table's gen
+        /** fill << kGenBits | gen; occupied iff gen == the table's. */
+        std::uint64_t fillGen = 0;
+
+        Tick fill() const { return fillGen >> kGenBits; }
     };
+    static_assert(sizeof(Slot) == 16, "four slots per cache line");
     static constexpr std::size_t kMinSlots = 64;
 
-    bool used(const Slot &s) const { return s.gen == gen; }
+    bool used(const Slot &s) const { return (s.fillGen & kGenMask) == gen; }
 
     std::size_t
     home(Addr line) const
@@ -91,7 +109,7 @@ class InflightTable
     std::vector<Slot> slots;
     unsigned shift = 64 - floorLog2(kMinSlots);
     std::size_t count = 0;
-    std::uint32_t gen = 1; ///< never 0, the mark of an erased slot
+    std::uint64_t gen = 1; ///< in [1, kGenMask]; 0 marks an erased slot
 };
 
 /**

@@ -9,15 +9,41 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
+#include "common/bits.hh"
+#include "gpu/sm.hh"
 #include "mem/cache.hh"
+#include "mem/mem_system.hh"
 #include "mem/request.hh"
 #include "scu/hash_table.hh"
 #include "sim/check.hh"
+#include "sim/clock.hh"
 #include "sim/clocked.hh"
 #include "sim/event_queue.hh"
 #include "stats/stats.hh"
 
 using namespace scusim;
+
+namespace scusim::gpu
+{
+
+/** Reaches into an SM's promotion state to corrupt it. */
+class SmTestPeer
+{
+  public:
+    /** Empty the lowest occupied wheel bucket; false if none is. */
+    static bool
+    dropWheelBucket(StreamingMultiprocessor &sm)
+    {
+        if (!sm.wheelOcc)
+            return false;
+        sm.wheel[ctz64(sm.wheelOcc)] = 0;
+        return true;
+    }
+};
+
+} // namespace scusim::gpu
 
 namespace
 {
@@ -122,6 +148,39 @@ TEST(CheckDeath, CoalescerWindowBoundsPanic)
     EXPECT_DEATH(sim::checkCoalesceBounds(4, 5), "out of bounds");
     // Lost traffic: active lanes produced no transaction at all.
     EXPECT_DEATH(sim::checkCoalesceBounds(4, 0), "out of bounds");
+}
+
+TEST(CheckDeath, SmPromotionMatchesTheLinearScan)
+{
+    SKIP_UNLESS_CHECKED();
+    const gpu::GpuParams params = gpu::GpuParams::tx1();
+    sim::ClockDomain clk(params.freqHz);
+    stats::StatGroup root("t");
+    mem::MemSystem memsys(params.memsys, clk, &root);
+    gpu::StreamingMultiprocessor sm(params, 0, &memsys, &root);
+    auto left = std::make_shared<int>(4);
+    sm.beginKernel(
+        [left](gpu::Warp &out) {
+            if ((*left)-- <= 0)
+                return false;
+            gpu::WarpInstr c;
+            c.kind = gpu::ThreadOp::Kind::Compute;
+            c.computeCount = 3;
+            out.instrs.push_back(c);
+            out.threads = 32;
+            return true;
+        },
+        nullptr);
+    // The first issues park the warps on the wheel for their ALU
+    // latency; a healthy SM promotes them and keeps going.
+    sm.tick(0);
+    ASSERT_TRUE(gpu::SmTestPeer::dropWheelBucket(sm));
+    EXPECT_DEATH(
+        {
+            for (Tick t = 1; t <= 4 * params.depIssueLatency; ++t)
+                sm.tick(t);
+        },
+        "disagrees with the linear scan");
 }
 
 TEST(Check, PassingChecksAreSilent)

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -396,33 +397,51 @@ TEST(InflightTable, RandomOpsMatchUnorderedMap)
     // growth, backward-shift erase, threshold purge and the
     // generation-stamped clear. The cache-level trace below only sees
     // entries that a later hit consults; this sees every entry.
+    // Fill ticks include 0 (a reordered completion can clamp there)
+    // and values at the packing bound; clears come in bursts, so the
+    // generation wraps hundreds of times.
     InflightTable t;
     std::unordered_map<Addr, Tick> model;
     Rng rng(0x7ab1e);
+    const Tick top = InflightTable::kTickLimit - 1;
+    auto tick = [&rng, top] {
+        const std::uint64_t r = rng.below(100);
+        if (r < 3)
+            return Tick{0};
+        if (r < 6)
+            return top - rng.below(4);
+        return Tick{rng.below(1 << 16)};
+    };
     std::size_t peak = 0;
+    std::uint64_t clears = 0, zero_fills = 0, top_fills = 0;
     for (int k = 0; k < 200000; ++k) {
         const Addr line = rng.below(1 << 12) * 128;
         const std::uint64_t op = rng.below(1000);
         if (op < 450) {
-            const Tick fill = rng.below(1 << 16);
+            const Tick fill = tick();
             t.set(line, fill);
             model[line] = fill;
+            zero_fills += fill == 0;
+            top_fills += fill == top;
         } else if (op < 700) {
             t.erase(line);
             model.erase(line);
         } else if (op < 705) {
-            const Tick cut = rng.below(1 << 16);
+            const Tick cut = tick();
             t.eraseUpTo(cut);
             std::erase_if(model, [cut](const auto &kv) {
                 return kv.second <= cut;
             });
         } else if (op < 706) {
-            t.clear();
+            for (std::uint64_t n = rng.range(1, 1000); n; --n) {
+                t.clear();
+                ++clears;
+            }
             model.clear();
         } else {
-            const Tick *got = t.find(line);
+            const std::optional<Tick> got = t.find(line);
             const auto it = model.find(line);
-            ASSERT_EQ(got != nullptr, it != model.end()) << "op " << k;
+            ASSERT_EQ(got.has_value(), it != model.end()) << "op " << k;
             if (got) {
                 ASSERT_EQ(*got, it->second) << "op " << k;
             }
@@ -431,11 +450,39 @@ TEST(InflightTable, RandomOpsMatchUnorderedMap)
         peak = std::max(peak, model.size());
     }
     for (const auto &[line, fill] : model) {
-        const Tick *got = t.find(line);
-        ASSERT_NE(got, nullptr) << "lost line " << line;
+        const std::optional<Tick> got = t.find(line);
+        ASSERT_TRUE(got) << "lost line " << line;
         EXPECT_EQ(*got, fill);
     }
     EXPECT_GT(peak, 256u) << "the table never had to grow";
+    EXPECT_GT(clears, 1u << 16) << "the generation never wrapped";
+    EXPECT_GT(zero_fills, 100u);
+    EXPECT_GT(top_fills, 100u);
+}
+
+TEST(InflightTable, GenerationWrapForgetsOldEntries)
+{
+    // An entry written in generation g must not come back when the
+    // generation counter cycles round to g again.
+    InflightTable t;
+    for (Addr a = 0; a < 16; ++a)
+        t.set(a * 128, a);
+    for (unsigned n = 0; n < (1u << 16) + 2; ++n) {
+        t.clear();
+        ASSERT_FALSE(t.find(3 * 128)) << "after " << n + 1 << " clears";
+    }
+    EXPECT_EQ(t.size(), 0u);
+    t.set(3 * 128, 0);
+    ASSERT_TRUE(t.find(3 * 128));
+    EXPECT_EQ(*t.find(3 * 128), 0u);
+}
+
+TEST(InflightTable, FillTickBeyondThePackingBoundPanics)
+{
+    InflightTable t;
+    t.set(0x80, InflightTable::kTickLimit - 1);
+    EXPECT_EQ(*t.find(0x80), InflightTable::kTickLimit - 1);
+    EXPECT_DEATH(t.set(0x100, InflightTable::kTickLimit), "does not fit");
 }
 
 namespace

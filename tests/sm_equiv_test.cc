@@ -17,6 +17,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <functional>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -26,6 +27,7 @@
 #include "harness/runner.hh"
 #include "mem/mem_system.hh"
 #include "sim/clock.hh"
+#include "sim/fault.hh"
 #include "sim/simulation.hh"
 #include "stats/stats.hh"
 
@@ -125,14 +127,26 @@ TEST(SmIssuePath_, DefaultResolutionOrder)
     ::unsetenv("SCUSIM_SM_PATH");
 }
 
+/** Edits a rig's parameters before anything is built from them. */
+using ParamTweak = std::function<void(gpu::GpuParams &)>;
+
+gpu::GpuParams
+tx1With(const ParamTweak &tweak)
+{
+    gpu::GpuParams p = gpu::GpuParams::tx1();
+    if (tweak)
+        tweak(p);
+    return p;
+}
+
 /**
  * A standalone SM on its own memory system, stat tree and
  * Simulation, latched to one issue path at construction.
  */
 struct SmRig
 {
-    explicit SmRig(SmIssuePath path)
-        : guard(path), params(gpu::GpuParams::tx1()),
+    explicit SmRig(SmIssuePath path, const ParamTweak &tweak = {})
+        : guard(path), params(tx1With(tweak)),
           clk(params.freqHz), root("t"),
           mem(params.memsys, clk, &root),
           sm(params, 0, &mem, &root, &sim)
@@ -227,46 +241,75 @@ makeSource(std::uint64_t count)
     };
 }
 
-TEST(SmTickEquivalence, LockstepTrajectoryAndFinalStatsMatch)
+/** What a lockstep drive went through, for coverage floors. */
+struct LockstepCoverage
 {
-    SmRig ref(SmIssuePath::Reference);
-    SmRig soa(SmIssuePath::SoaMasked);
-    ASSERT_EQ(ref.sm.issuePath(), SmIssuePath::Reference);
-    ASSERT_EQ(soa.sm.issuePath(), SmIssuePath::SoaMasked);
+    std::uint64_t serviced = 0; ///< ticks both SMs were ticked
+    std::uint64_t stalled = 0;  ///< of those, ticks a fault froze
+    std::uint64_t longWaits = 0; ///< fast-forwards over > 4096 ticks
+};
 
-    // 3x the resident-slot count so retirement compaction and refill
-    // churn continuously.
+/**
+ * Drive a Reference and a SoaMasked rig, both built with @p tweak,
+ * in lockstep over 3x as many synthetic warps as resident slots, so
+ * retirement compaction and refill churn continuously. They must
+ * agree on busy(), nextWakeTick() and the active-cycle count at every
+ * serviced tick, and on the kernel stats and full stats dump at the
+ * end. @p fault, if armed, is installed in both rigs. Returns at the
+ * first disagreement.
+ */
+LockstepCoverage
+expectLockstep(const ParamTweak &tweak = {},
+               const sim::FaultPlan &fault = {})
+{
+    SmRig ref(SmIssuePath::Reference, tweak);
+    SmRig soa(SmIssuePath::SoaMasked, tweak);
+    EXPECT_EQ(ref.sm.issuePath(), SmIssuePath::Reference);
+    EXPECT_EQ(soa.sm.issuePath(), SmIssuePath::SoaMasked);
+    if (!fault.empty()) {
+        ref.sim.installFaultInjector(
+            std::make_unique<sim::FaultInjector>(fault, 1));
+        soa.sim.installFaultInjector(
+            std::make_unique<sim::FaultInjector>(fault, 1));
+    }
+
     const std::uint64_t warps = 3 * ref.params.maxResidentWarps();
     gpu::KernelStats ksRef, ksSoa;
     ref.sm.beginKernel(makeSource(warps), &ksRef);
     soa.sm.beginKernel(makeSource(warps), &ksSoa);
 
+    LockstepCoverage cov;
     Tick now = 0;
-    std::uint64_t serviced = 0;
     for (std::uint64_t iter = 0; iter < 50'000'000; ++iter) {
         const Tick wr = ref.sm.nextWakeTick();
-        ASSERT_EQ(wr, soa.sm.nextWakeTick()) << "tick " << now;
+        EXPECT_EQ(wr, soa.sm.nextWakeTick()) << "tick " << now;
         const bool br = ref.sm.busy(now);
-        ASSERT_EQ(br, soa.sm.busy(now)) << "tick " << now;
+        EXPECT_EQ(br, soa.sm.busy(now)) << "tick " << now;
+        if (::testing::Test::HasFailure())
+            return cov;
         if (br) {
+            const double active = ref.sm.activeCycles();
             ref.sm.tick(now);
             soa.sm.tick(now);
-            ASSERT_EQ(ref.sm.activeCycles(), soa.sm.activeCycles())
+            EXPECT_EQ(ref.sm.activeCycles(), soa.sm.activeCycles())
                 << "tick " << now;
-            ++serviced;
+            cov.stalled += ref.sm.activeCycles() == active;
+            ++cov.serviced;
             ++now;
             continue;
         }
         if (wr == tickNever)
             break;
+        cov.longWaits += wr > now + 4096;
         now = std::max(now + 1, wr); // fast-forward a pure stall
     }
-    EXPECT_GT(serviced, warps); // the drive actually ran work
+    EXPECT_GT(cov.serviced, warps); // the drive actually ran work
 
     ref.sm.endKernel(now);
     soa.sm.endKernel(now);
 
     EXPECT_EQ(ksRef.warps, ksSoa.warps);
+    EXPECT_EQ(ksRef.warps, warps);
     EXPECT_EQ(ksRef.threads, ksSoa.threads);
     EXPECT_EQ(ksRef.warpInstrs, ksSoa.warpInstrs);
     EXPECT_EQ(ksRef.threadInstrs, ksSoa.threadInstrs);
@@ -276,10 +319,75 @@ TEST(SmTickEquivalence, LockstepTrajectoryAndFinalStatsMatch)
 
     const std::string dr = ref.dump();
     const std::string ds = soa.dump();
-    ASSERT_FALSE(dr.empty());
+    EXPECT_FALSE(dr.empty());
     EXPECT_EQ(dr, ds)
         << "issue paths diverged somewhere the per-tick probes "
            "don't reach";
+    return cov;
+}
+
+TEST(SmTickEquivalence, LockstepTrajectoryAndFinalStatsMatch)
+{
+    expectLockstep();
+}
+
+/**
+ * The variants below run GTX980-sized residency (64 slots) on the TX1
+ * rig, so warp indices and slots span the full 64-bit masks.
+ */
+void
+allSlots(gpu::GpuParams &p)
+{
+    p.maxThreadsPerSm = 2048;
+}
+
+TEST(SmTickEquivalence, LoadsBlockedPastFourThousandTicks)
+{
+    // A slow interconnect makes every L2 round trip longer than 4096
+    // ticks, far past the near horizon, so whole-SM stalls end only
+    // when the far heap's loads come back.
+    const LockstepCoverage cov =
+        expectLockstep([](gpu::GpuParams &p) {
+            allSlots(p);
+            p.memsys.icnLatency = 2100;
+        });
+    EXPECT_GE(cov.longWaits, 40u); // 48 when written
+}
+
+TEST(SmTickEquivalence, FifoStallLongerThanTheNearHorizonResumes)
+{
+    // Twice mid-kernel the SM's issue FIFO freezes for 300 ticks:
+    // the wheel is not walked meanwhile, and on resumption every ALU
+    // wait it holds has long come due. The second drive's ALU waits
+    // last exactly the near horizon, so they sit in the last bucket
+    // a resumed walk may visit.
+    sim::FaultPlan stall;
+    for (const Tick at : {Tick{100}, Tick{1500}})
+        stall.add({.kind = sim::FaultKind::FifoStall,
+                   .at = at,
+                   .magnitude = 300,
+                   .target = 0});
+    const LockstepCoverage cov = expectLockstep(allSlots, stall);
+    EXPECT_GE(cov.stalled, 250u); // 313 when written
+    const LockstepCoverage edge = expectLockstep(
+        [](gpu::GpuParams &p) {
+            allSlots(p);
+            p.depIssueLatency = StreamingMultiprocessor::kNearHorizon;
+        },
+        stall);
+    EXPECT_GE(edge.stalled, 500u); // 595 when written
+}
+
+TEST(SmTickEquivalence, DependentLatencyPastTheNearHorizon)
+{
+    // Every ALU wait outlasts the near horizon, so all blocked warps
+    // go through the far heap.
+    const LockstepCoverage cov =
+        expectLockstep([](gpu::GpuParams &p) {
+            allSlots(p);
+            p.depIssueLatency = StreamingMultiprocessor::kNearHorizon + 13;
+        });
+    EXPECT_GE(cov.serviced, 900u); // 975 when written
 }
 
 TEST(SmTickEquivalence, WarpArrivingBlockedIsPromotedIdentically)

@@ -9,6 +9,9 @@ pair to pair. Prints:
 
 - each pair's wall_ref, each side's median and quartiles, and how
   many pairs the change won (ties count for neither side);
+- a `gain verdict: met|not met` line: met when the change won at
+  least 9/10 of the pairs and its median wall_ref gain exceeds the
+  parent's IQR;
 - every end-to-end metric of BENCHMARK.json, parent median against
   change median, with the bound it may worsen by.
 
@@ -126,14 +129,21 @@ def timed_pairs(args, sides, reference, bench):
         print("pair %2d (%s first): parent %12.4f  change %12.4f" %
               (i + 1, order[0], a or float("nan"), b or float("nan")))
 
+    stats = {}
     for side in ("parent", "change"):
         vals = [m["wall_ref"] for m in samples[side] if "wall_ref" in m]
         if vals:
             q1, q2, q3 = quartiles(vals)
+            stats[side] = (q2, q3 - q1)
             print("%-6s wall_ref: median %.4f, quartiles %.4f .. %.4f "
                   "(IQR %.4f, n=%d)" % (side, q2, q1, q3, q3 - q1,
                                         len(vals)))
     print("change won %d of %d pairs on wall_ref" % (wins, args.pairs))
+    # A claimed gain needs 9 wins in 10 pairs and a median gain larger
+    # than the parent's IQR.
+    met = len(stats) == 2 and 10 * wins >= 9 * args.pairs and \
+        stats["parent"][0] - stats["change"][0] > stats["parent"][1]
+    print("gain verdict: %s" % ("met" if met else "not met"))
 
     print("end-to-end metrics (medians; worse = relative change in "
           "the bad direction):")

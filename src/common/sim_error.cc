@@ -35,10 +35,6 @@ to_string(FailureKind k)
         return "runaway";
       case FailureKind::Timeout:
         return "timeout";
-      case FailureKind::Overloaded:
-        return "overloaded";
-      case FailureKind::ConnectionLost:
-        return "connection-lost";
     }
     return "?";
 }

@@ -27,23 +27,18 @@ enum class FailureKind
     Invariant, ///< checked-build contract violation (sim_check)
     Deadlock,  ///< components busy but making no progress
     Runaway,   ///< tick budget exceeded without draining
-    Timeout,   ///< wall-clock budget exceeded or run cancelled
-    /** Service admission queue full; the request was shed, not run. */
-    Overloaded,
-    /** Service connection died before a reply arrived. */
-    ConnectionLost,
+    Timeout,   ///< wall-clock budget exceeded
 };
 
 /**
- * Transient failures depend on host load or connectivity, not on the
- * run itself: they are retried (with backoff), and neither the
- * in-process memo nor the persistent run cache ever stores them.
+ * Transient failures depend on host load, not on the run itself: they
+ * are retried (with backoff), and neither the in-process memo nor the
+ * persistent run cache ever stores them.
  */
 constexpr bool
 isTransientFailure(FailureKind k)
 {
-    return k == FailureKind::Timeout || k == FailureKind::Overloaded ||
-           k == FailureKind::ConnectionLost;
+    return k == FailureKind::Timeout;
 }
 
 /** Lowercase name: "panic", "invariant", "deadlock", ... */

@@ -54,9 +54,6 @@ mergeGuards(RunConfig &cfg, const ExecutorOptions &opts)
         cfg.guards.stallWindow = opts.guards.stallWindow;
     if (cfg.guards.wallSeconds <= 0)
         cfg.guards.wallSeconds = opts.guards.wallSeconds;
-    if (!cfg.guards.cancel)
-        cfg.guards.cancel =
-            opts.guards.cancel ? opts.guards.cancel : opts.cancel;
 }
 
 /** File-name-safe rendering of a run label. */
@@ -310,12 +307,6 @@ runPlan(const std::vector<PlannedRun> &runs,
             mergeTrace(cfg, rec.run.label, opts);
             for (;;) {
                 ++rec.attempts;
-                if (opts.cancel &&
-                    opts.cancel->load(std::memory_order_relaxed)) {
-                    rec.failure = FailureKind::Timeout;
-                    rec.error = "cancelled before start";
-                    break;
-                }
                 try {
                     // Failures inside the run (panics, invariant
                     // violations, watchdog trips) throw SimError
@@ -346,19 +337,8 @@ runPlan(const std::vector<PlannedRun> &runs,
                             cfg.seed, rec.attempts,
                             opts.backoffBaseMs, opts.backoffCapMs);
                         rec.backoffMs += delay;
-                        // Sleep in short slices so plan cancellation
-                        // is not held up by a long backoff.
-                        unsigned slept = 0;
-                        while (slept < delay &&
-                               !(opts.cancel &&
-                                 opts.cancel->load(
-                                     std::memory_order_relaxed))) {
-                            const unsigned slice =
-                                std::min(delay - slept, 50u);
-                            std::this_thread::sleep_for(
-                                std::chrono::milliseconds(slice));
-                            slept += slice;
-                        }
+                        std::this_thread::sleep_for(
+                            std::chrono::milliseconds(delay));
                         continue;
                     }
                     break;

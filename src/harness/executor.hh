@@ -11,7 +11,6 @@
 #ifndef SCUSIM_HARNESS_EXECUTOR_HH
 #define SCUSIM_HARNESS_EXECUTOR_HH
 
-#include <atomic>
 #include <cstddef>
 #include <optional>
 #include <string>
@@ -150,12 +149,6 @@ struct ExecutorOptions
      */
     bool diskCache = true;
     /**
-     * Cooperative cancellation of the whole plan: pending runs fail
-     * fast with Timeout, in-flight runs stop at their supervisor's
-     * next checkpoint.
-     */
-    std::atomic<bool> *cancel = nullptr;
-    /**
      * Default observability configuration merged into every run
      * whose own RunConfig::trace is disabled (typically
      * trace::TraceConfig::fromEnv()). Note that memoized results are
@@ -180,9 +173,6 @@ unsigned executorJobs(const ExecutorOptions &opts = {});
  * run seeded with @p seed: exponential in the attempt, capped at
  * @p capMs, jittered into [delay/2, delay] by a generator seeded
  * from (seed, attempt) — pure function, reproducible everywhere.
- * The service client applies the same policy to Overloaded /
- * ConnectionLost replies, so daemon retry traffic is as predictable
- * as executor retries.
  */
 unsigned retryBackoffMs(std::uint64_t seed, unsigned attempt,
                         unsigned baseMs, unsigned capMs);

@@ -276,7 +276,7 @@ decodeRunRecordDetail(const std::string &text,
     if (!in.u64("hasFailure", hasFailure) || hasFailure > 1)
         return DecodeOutcome::Malformed;
     if (!in.u64("failure", u) ||
-        u > static_cast<std::uint64_t>(FailureKind::ConnectionLost))
+        u > static_cast<std::uint64_t>(FailureKind::Timeout))
         return DecodeOutcome::Malformed;
     if (hasFailure)
         tmp.failure = static_cast<FailureKind>(u);

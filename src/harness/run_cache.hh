@@ -56,9 +56,8 @@ std::string runCachePath(const std::string &dir,
  * storable only when keyed by a durable content fingerprint
  * (PlannedRun::graphFp, from the dataset store); a raw-pointer key
  * is meaningless across processes and is never written. Transient
- * failures (Timeout / Overloaded / ConnectionLost) depend on host
- * load, not the run (mirrors the in-process memo policy), so they
- * are never written either.
+ * failures (Timeout) depend on host load, not the run (mirrors the
+ * in-process memo policy), so they are never written either.
  */
 bool runCacheStorable(const RunRecord &rec);
 

@@ -121,11 +121,11 @@ validatePr(const graph::CsrGraph &g, const alg::AlgOptions &opt,
 }
 
 /**
- * Simulation-loop supervisor enforcing the run's wall-clock budget
- * and its cooperative-cancellation flag. This is the one place a run
- * consults the wall clock — it bounds host time, never simulated
- * behavior, so results stay deterministic: a run either completes
- * with its usual (reproducible) result or fails with Timeout.
+ * Simulation-loop supervisor enforcing the run's wall-clock budget.
+ * This is the one place a run consults the wall clock — it bounds
+ * host time, never simulated behavior, so results stay
+ * deterministic: a run either completes with its usual
+ * (reproducible) result or fails with Timeout.
  */
 class WallClockSupervisor : public sim::Supervisor
 {
@@ -140,15 +140,6 @@ class WallClockSupervisor : public sim::Supervisor
     void
     checkpoint(Tick now) override
     {
-        if (guards.cancel &&
-            guards.cancel->load(std::memory_order_relaxed)) {
-            throw SimError(
-                FailureKind::Timeout,
-                strprintf("run cancelled at tick %llu",
-                          static_cast<unsigned long long>(now)));
-        }
-        if (guards.wallSeconds <= 0)
-            return;
         // simlint: allow(nondeterminism)
         const auto wall = std::chrono::steady_clock::now();
         const auto elapsed =
@@ -270,7 +261,7 @@ runPrimitive(const RunConfig &cfg, const graph::CsrGraph &g)
             {cfg.guards.tickBudget, cfg.guards.stallWindow});
     }
     WallClockSupervisor supervisor(cfg.guards);
-    if (cfg.guards.wallSeconds > 0 || cfg.guards.cancel)
+    if (cfg.guards.wallSeconds > 0)
         sys.simulation().setSupervisor(&supervisor);
 
     alg::AlgOptions opt = cfg.alg;

@@ -9,7 +9,6 @@
 #ifndef SCUSIM_HARNESS_RUNNER_HH
 #define SCUSIM_HARNESS_RUNNER_HH
 
-#include <atomic>
 #include <cstdint>
 #include <optional>
 #include <ostream>
@@ -32,24 +31,21 @@ enum class Primitive { Bfs, Sssp, Pr };
 std::string to_string(Primitive p);
 
 /**
- * Per-run supervision budgets; zero / null disables the respective
- * guard. Tick budgets are enforced by the simulation's watchdog
- * (Runaway / Deadlock), the wall-clock budget and the cancellation
- * flag by a supervisor installed for the run (Timeout).
+ * Per-run supervision budgets; zero disables the respective guard.
+ * Tick budgets are enforced by the simulation's watchdog (Runaway /
+ * Deadlock), the wall-clock budget by a supervisor installed for the
+ * run (Timeout).
  */
 struct RunGuards
 {
     Tick tickBudget = 0;   ///< max absolute tick before Runaway
     Tick stallWindow = 0;  ///< no-progress ticks before Deadlock
     double wallSeconds = 0; ///< wall-clock budget before Timeout
-    /** Cooperative cancellation: set to make the run stop (Timeout). */
-    std::atomic<bool> *cancel = nullptr;
 
     bool
     any() const
     {
-        return tickBudget || stallWindow || wallSeconds > 0 ||
-               cancel;
+        return tickBudget || stallWindow || wallSeconds > 0;
     }
 };
 

@@ -60,9 +60,9 @@ struct WatchdogConfig
 
 /**
  * Periodic callback hook of the harness into the simulation loop —
- * the wall-clock budget and cooperative cancellation live behind it
- * so the sim layer itself never reads the wall clock. A checkpoint
- * that cannot let the run continue throws SimError(Timeout).
+ * the wall-clock budget lives behind it so the sim layer itself
+ * never reads the wall clock. A checkpoint that cannot let the run
+ * continue throws SimError(Timeout).
  */
 class Supervisor
 {

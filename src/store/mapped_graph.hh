@@ -152,8 +152,8 @@ class MappedGraph
 
 /**
  * Parse only the header of @p path (no mapping, no fingerprint
- * verification): the cheap identity probe clients use to compute a
- * run key before shipping the path to a daemon.
+ * verification): the cheap identity probe behind `scug info`, which
+ * reports a file's schema, shape and fingerprint without mapping it.
  */
 bool readStoreHeader(const std::string &path, ScugHeader &h,
                      std::string *err = nullptr);

@@ -81,8 +81,8 @@ std::shared_ptr<MappedGraph> openGraphFile(const std::string &path,
 
 /**
  * Open an explicit `.scug` file with the configured budget,
- * quarantining and failing (null + warn) on damage. The daemon's
- * --dataset-file path.
+ * quarantining and failing (null + warn) on damage. The path
+ * `explore --file graph.scug` takes.
  */
 std::shared_ptr<MappedGraph> openStoreFile(const std::string &path);
 

@@ -11,7 +11,6 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -453,7 +452,7 @@ TEST(FaultMatrix, HashCorruptTripsTheParityInvariant)
 }
 
 // ---------------------------------------------------------------
-// Supervision: wall-clock budget, retry, cancellation, memoization
+// Supervision: wall-clock budget, retry, memoization
 // ---------------------------------------------------------------
 
 TEST(Supervision, WallClockBudgetIsTimeoutAndRetried)
@@ -485,26 +484,6 @@ TEST(Supervision, TimeoutsAreNeverMemoized)
     expectFailure(res.records().at(0), FailureKind::Timeout);
     EXPECT_EQ(memoizedRunCount(), 0u);
     clearRunMemo();
-}
-
-TEST(Supervision, PreCancelledPlanFailsFastWithTimeout)
-{
-    std::atomic<bool> stop{true};
-    auto res = runPlan(ExperimentPlan()
-                           .systems({"TX1"})
-                           .primitives({Primitive::Bfs})
-                           .datasets({"cond", "ca"})
-                           .modes({ScuMode::GpuOnly,
-                                   ScuMode::ScuEnhanced})
-                           .scale(0.01),
-                       {.jobs = 2, .memoize = false,
-                        .cancel = &stop});
-    ASSERT_EQ(res.size(), 4u);
-    EXPECT_EQ(res.failures(), 4u);
-    for (const auto &rec : res.records()) {
-        expectFailure(rec, FailureKind::Timeout);
-        EXPECT_EQ(rec.error, "cancelled before start");
-    }
 }
 
 // ---------------------------------------------------------------

@@ -163,6 +163,24 @@ TEST(RunCacheCodec, RejectsKeyMismatchAndGarbage)
         EXPECT_FALSE(
             decodeRunRecord(text.substr(0, n), rec.run.key, back))
             << "truncated at " << n;
+    // Failure codes past the last FailureKind are not guessed at.
+    RunRecord failed = sampleRecord();
+    failed.ok = false;
+    failed.failure = FailureKind::Timeout;
+    const std::string failedText = encodeRunRecord(failed);
+    const std::string lastKind =
+        "\nfailure " +
+        std::to_string(static_cast<int>(FailureKind::Timeout)) + "\n";
+    const std::size_t at = failedText.find(lastKind);
+    ASSERT_NE(at, std::string::npos);
+    ASSERT_TRUE(decodeRunRecord(failedText, failed.run.key, back));
+    for (int code : {5, 6}) {
+        std::string bad = failedText;
+        bad.replace(at, lastKind.size(),
+                    "\nfailure " + std::to_string(code) + "\n");
+        EXPECT_FALSE(decodeRunRecord(bad, failed.run.key, back))
+            << "failure code " << code;
+    }
 }
 
 TEST(RunCacheCodec, RejectsSchemaVersionMismatch)

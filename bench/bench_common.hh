@@ -12,7 +12,6 @@
  *   SCUSIM_ARTIFACT_DIR where artifacts land (default ".")
  *   SCUSIM_TRACE_MASK   enable per-run tracing (trace-enabled builds)
  *   SCUSIM_TRACE_PERIOD timeseries sampling window, ticks
- *   SCUSIM_PROFILE      print the host-side profiler report
  *
  * Command line (every bench binary):
  *   --inject <kind>@<tick>[x<magnitude>][t<target>]

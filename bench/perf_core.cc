@@ -27,7 +27,6 @@
  *   SCUSIM_SCALE         dataset scale (default 0.05)
  *   SCUSIM_PERF_REPS     reps per cell, best-of (default 3)
  *   SCUSIM_SMTICK_WARPS  warps per Sm::tick microbench run
- *   SCUSIM_PROFILE       also print the host-side profiler breakdown
  */
 
 #include <algorithm>
@@ -50,7 +49,6 @@
 #include "sim/clock.hh"
 #include "sim/simulation.hh"
 #include "stats/stats.hh"
-#include "trace/profiler.hh"
 
 using namespace scusim;
 using namespace scusim::harness;
@@ -271,9 +269,6 @@ main(int argc, char **argv)
         }
     }
 
-    if (trace::Profiler::envEnabled())
-        trace::Profiler::instance().setEnabled(true);
-
     // Intern every dataset before any timer runs.
     for (const RunConfig &cfg : workloads)
         cachedDataset(cfg.dataset, cfg.scale, cfg.seed);
@@ -377,12 +372,6 @@ main(int argc, char **argv)
 
     table.print();
     smTable.print();
-
-    if (trace::Profiler::instance().enabled()) {
-        std::ostringstream os;
-        trace::Profiler::instance().report(os);
-        std::printf("%s\n", os.str().c_str());
-    }
 
     std::string dir = ".";
     if (const char *d = std::getenv("SCUSIM_ARTIFACT_DIR"))

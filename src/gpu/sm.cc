@@ -10,7 +10,6 @@
 #include "sim/check.hh"
 #include "sim/fault.hh"
 #include "sim/simulation.hh"
-#include "trace/profiler.hh"
 #include "trace/trace.hh"
 
 namespace scusim::gpu
@@ -61,6 +60,7 @@ StreamingMultiprocessor::StreamingMultiprocessor(
     : p(params), smId(id), sharedMem(shared_mem), simPtr(sim),
       l1Cache(params.l1, shared_mem, parent),
       path(defaultIssuePath()),
+      outstandingLoads(params.maxOutstanding),
       grp(std::string("sm") + std::to_string(id), parent),
       smActiveCycles(&grp, "active_cycles",
                      "cycles with at least one resident warp"),
@@ -310,13 +310,10 @@ StreamingMultiprocessor::executeMem(const WarpInstr &wi,
     for (Addr line : txnScratch) {
         if (wi.kind == ThreadOp::Kind::Load) {
             // Respect the outstanding-transaction budget.
-            while (!outstandingLoads.empty() &&
-                   outstandingLoads.top() <= inject) {
-                outstandingLoads.pop();
-            }
+            outstandingLoads.purgeUpTo(inject);
             if (outstandingLoads.size() >= p.maxOutstanding) {
-                inject = std::max(inject, outstandingLoads.top());
-                outstandingLoads.pop();
+                inject = std::max(inject, outstandingLoads.min());
+                outstandingLoads.popMin();
             }
             auto r = l1Cache.access(inject, line,
                                     mem::AccessKind::Read,
@@ -524,7 +521,6 @@ StreamingMultiprocessor::tickReference(Tick now)
 void
 StreamingMultiprocessor::tick(Tick now)
 {
-    SCUSIM_PROFILE_SCOPE("Sm::tick");
     if (simPtr) {
         // An injected FIFO stall: the SM stays busy but cannot
         // drain, so its progress counter freezes and the deadlock

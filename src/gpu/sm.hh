@@ -23,7 +23,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <queue>
 #include <span>
 #include <utility>
 #include <vector>
@@ -364,8 +363,7 @@ class StreamingMultiprocessor : public sim::Clocked
     Tick wakeCache = tickNever;
 
     Tick lsuFree = 0;
-    std::priority_queue<Tick, std::vector<Tick>, std::greater<Tick>>
-        outstandingLoads;
+    mem::CompletionRing outstandingLoads;
     std::vector<Addr> txnScratch;
     trace::TraceChannel *traceChan = nullptr;
     std::size_t mshrHighWater = 0; ///< outstanding-load FIFO peak

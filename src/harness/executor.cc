@@ -8,13 +8,10 @@
 #include <stdexcept>
 #include <thread>
 
-#include <sstream>
-
 #include "common/logging.hh"
 #include "common/rng.hh"
 #include "graph/datasets.hh"
 #include "harness/run_cache.hh"
-#include "trace/profiler.hh"
 
 namespace scusim::harness
 {
@@ -244,9 +241,6 @@ PlanResults
 runPlan(const std::vector<PlannedRun> &runs,
         const ExecutorOptions &opts)
 {
-    if (trace::Profiler::envEnabled())
-        trace::Profiler::instance().setEnabled(true);
-
     std::vector<RunRecord> recs(runs.size());
     for (std::size_t i = 0; i < runs.size(); ++i)
         recs[i].run = runs[i];
@@ -399,14 +393,6 @@ runPlan(const std::vector<PlannedRun> &runs,
                    served, recs.size(), cacheDir.c_str());
     }
 
-    // Per-phase wall-clock breakdown of the plan just executed
-    // (SCUSIM_PROFILE=1). Reset so consecutive plans don't blur.
-    if (trace::Profiler::instance().enabled()) {
-        std::ostringstream os;
-        trace::Profiler::instance().report(os);
-        inform("%s", os.str().c_str());
-        trace::Profiler::instance().reset();
-    }
     return PlanResults(std::move(recs));
 }
 

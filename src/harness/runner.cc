@@ -20,7 +20,6 @@
 #include "stats/timeseries.hh"
 #include "store/store.hh"
 #include "trace/chrome_export.hh"
-#include "trace/profiler.hh"
 
 namespace scusim::harness
 {
@@ -67,7 +66,6 @@ cachedDataset(const std::string &name, double scale,
         e = &cache[key];
     }
     std::call_once(e->once, [&] {
-        SCUSIM_PROFILE_SCOPE("harness::dataset");
         // Store-backed path: pack once under SCUSIM_STORE_DIR, then
         // map the packed bytes read-only — the page cache shares them
         // with every other process mapping the same file. Any store
@@ -91,7 +89,6 @@ bool
 validateBfs(const graph::CsrGraph &g, NodeId src,
             const std::vector<std::uint32_t> &got)
 {
-    SCUSIM_PROFILE_SCOPE("harness::validate");
     auto want = alg::serialBfs(g, src);
     return want == got;
 }
@@ -100,7 +97,6 @@ bool
 validateSssp(const graph::CsrGraph &g, NodeId src,
              const std::vector<std::uint32_t> &got)
 {
-    SCUSIM_PROFILE_SCOPE("harness::validate");
     auto want = alg::serialDijkstra(g, src);
     return want == got;
 }
@@ -109,7 +105,6 @@ bool
 validatePr(const graph::CsrGraph &g, const alg::AlgOptions &opt,
            const std::vector<float> &got)
 {
-    SCUSIM_PROFILE_SCOPE("harness::validate");
     auto want = alg::serialPageRank(g, 0.15, opt.prEpsilon,
                                     opt.prMaxIterations);
     for (std::size_t u = 0; u < got.size(); ++u) {
@@ -181,7 +176,6 @@ pickSource(const graph::CsrGraph &g)
 RunResult
 runPrimitive(const RunConfig &cfg, const graph::CsrGraph &g)
 {
-    SCUSIM_PROFILE_SCOPE("harness::runPrimitive");
     SystemConfig sc = SystemConfig::byName(
         cfg.systemName, cfg.mode != ScuMode::GpuOnly);
     if (cfg.scuOverride)

@@ -1,6 +1,7 @@
 #include "mem/cache.hh"
 
 #include <algorithm>
+#include <bit>
 
 #include "common/bits.hh"
 #include "common/logging.hh"
@@ -8,6 +9,39 @@
 
 namespace scusim::mem
 {
+
+CompletionRing::CompletionRing(std::size_t limit)
+    : buf(std::min(kMinSlots, std::bit_ceil(limit))),
+      mask(buf.size() - 1), bound(limit)
+{
+    panic_if(limit == 0, "a completion ring needs a bound of at least 1");
+}
+
+void
+CompletionRing::push(Tick t)
+{
+    sim_check(count < bound, "completion ring over its bound of %zu",
+              bound);
+    if (count == buf.size())
+        grow();
+    std::size_t i = head + count;
+    for (; i != head && buf[(i - 1) & mask] > t; --i)
+        buf[i & mask] = buf[(i - 1) & mask];
+    buf[i & mask] = t;
+    ++count;
+}
+
+void
+CompletionRing::grow()
+{
+    // Unwrap into the doubled buffer, head first.
+    std::vector<Tick> wider(buf.size() * 2);
+    for (std::size_t k = 0; k < count; ++k)
+        wider[k] = buf[(head + k) & mask];
+    buf.swap(wider);
+    mask = buf.size() - 1;
+    head = 0;
+}
 
 std::size_t
 InflightTable::probe(Addr line) const
@@ -118,7 +152,7 @@ InflightTable::grow()
 
 Cache::Cache(const CacheParams &params, MemLevel *downstream,
              stats::StatGroup *parent)
-    : p(params), next(downstream),
+    : p(params), next(downstream), outstanding(p.mshrs),
       grp(p.name, parent),
       hits(&grp, "hits", "accesses serviced by this level"),
       misses(&grp, "misses", "accesses forwarded downstream"),
@@ -160,11 +194,10 @@ Tick
 Cache::acquireMshr(Tick start)
 {
     // Purge already-completed misses.
-    while (!outstanding.empty() && outstanding.top() <= start)
-        outstanding.pop();
+    outstanding.purgeUpTo(start);
     if (outstanding.size() >= p.mshrs) {
-        Tick free_at = outstanding.top();
-        outstanding.pop();
+        Tick free_at = outstanding.min();
+        outstanding.popMin();
         mshrStallCycles += static_cast<double>(free_at - start);
         start = free_at;
     }

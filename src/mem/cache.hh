@@ -13,7 +13,6 @@
 #define SCUSIM_MEM_CACHE_HH
 
 #include <optional>
-#include <queue>
 #include <string>
 #include <vector>
 
@@ -37,6 +36,57 @@ struct CacheParams
     Tick bankCycle = 1;       ///< bank occupancy per access
     Tick atomicExtra = 4;     ///< extra occupancy for read-modify-write
     unsigned mshrs = 128;     ///< max misses in flight
+};
+
+/**
+ * Completion ticks of the accesses holding a bounded resource (a
+ * cache's MSHRs, an SM's load budget), kept sorted in a ring: the
+ * earliest sits at the head, so dropping every tick <= t advances the
+ * head, and a push shifts the later ticks one slot toward the tail.
+ * Completions arrive in nearly ascending order, so the shift is
+ * short. Holds the same multiset a min-heap would. Storage doubles on
+ * demand up to the bound given at construction; callers pop before
+ * they push, so the size never exceeds it.
+ */
+class CompletionRing
+{
+  public:
+    /** Holds at most @p limit ticks; panics unless @p limit >= 1. */
+    explicit CompletionRing(std::size_t limit);
+
+    std::size_t size() const { return count; }
+
+    /** The earliest tick; the ring must not be empty. */
+    Tick min() const { return buf[head & mask]; }
+
+    void
+    popMin()
+    {
+        ++head;
+        --count;
+    }
+
+    /** Drop every tick <= @p t. */
+    void
+    purgeUpTo(Tick t)
+    {
+        while (count && buf[head & mask] <= t)
+            popMin();
+    }
+
+    /** Insert @p t; the ring must hold fewer ticks than its bound. */
+    void push(Tick t);
+
+  private:
+    static constexpr std::size_t kMinSlots = 16;
+
+    void grow();
+
+    std::vector<Tick> buf;
+    std::size_t mask;
+    std::size_t head = 0; ///< unwrapped; the slot is head & mask
+    std::size_t count = 0;
+    std::size_t bound;
 };
 
 /**
@@ -239,8 +289,7 @@ class Cache : public MemLevel
     std::uint64_t bankMask = 0; ///< bank count - 1 (a power of two)
 
     /** Completion ticks of outstanding misses (MSHR occupancy). */
-    std::priority_queue<Tick, std::vector<Tick>, std::greater<Tick>>
-        outstanding;
+    CompletionRing outstanding;
     /** In-flight line fills, for secondary-miss merging. */
     InflightTable inflight;
     Tick lruClock = 0;

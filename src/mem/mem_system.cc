@@ -2,7 +2,6 @@
 
 #include "sim/check.hh"
 #include "sim/fault.hh"
-#include "trace/profiler.hh"
 #include "trace/trace.hh"
 
 namespace scusim::mem
@@ -30,7 +29,6 @@ MemResult
 MemSystem::access(Tick issue, Addr addr, AccessKind kind,
                   unsigned bytes)
 {
-    SCUSIM_PROFILE_SCOPE("MemSystem::access");
     ++requests;
     // An injected interconnect stall delays the request crossing; the
     // response then completes late enough to trip the tick budget.

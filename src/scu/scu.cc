@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/logging.hh"
-#include "trace/profiler.hh"
 #include "trace/trace.hh"
 #include "sim/fault.hh"
 #include "sim/simulation.hh"
@@ -81,7 +80,6 @@ Scu::attachTrace(trace::TraceSink &sink, const std::string &prefix)
 void
 Scu::sealOp(const char *op, ScuPipeline &pipe, ScuOpStats &st)
 {
-    SCUSIM_PROFILE_SCOPE("Scu::op");
     st.end = pipe.finish();
     sim.advanceTo(st.end);
 

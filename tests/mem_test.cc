@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <optional>
+#include <queue>
 #include <unordered_map>
 #include <vector>
 
@@ -391,6 +392,73 @@ TEST(CacheInflight, InvalidateAllForgetsFillsInFlight)
     EXPECT_EQ(reread(true), 5 + p.hitLatency);
 }
 
+TEST(CompletionRing, RandomOpsMatchPriorityQueue)
+{
+    // The sorted ring against the min-heap it replaced, driven the
+    // way the MSHR and load-budget callers drive it: purge-up-to-t
+    // with t running backwards as well as forwards, pushes below an
+    // earlier purge tick, pop-min, and bursts that hold the ring at
+    // its bound (a push into a full ring pops the minimum first, as
+    // the callers do). size() and the minimum must agree after every
+    // step.
+    using Heap =
+        std::priority_queue<Tick, std::vector<Tick>, std::greater<Tick>>;
+    for (const std::size_t cap : {1u, 16u, 256u}) {
+        SCOPED_TRACE(cap);
+        CompletionRing ring(cap);
+        Heap heap;
+        Rng rng(0x5eed + cap);
+        Tick now = 1000, last_cut = 0;
+        std::uint64_t backward = 0, below_cut = 0, at_cap = 0;
+        for (int k = 0; k < 100000; ++k) {
+            // Alternate bursts (time barely moves, so the ring fills)
+            // with drains.
+            const bool burst = (k / 4096) % 2 == 0;
+            if (!burst || rng.chance(0.02))
+                now += rng.below(8);
+            const std::uint64_t op = rng.below(100);
+            if (op < (burst ? 70u : 35u)) {
+                Tick t = now + rng.below(600);
+                if (rng.chance(0.1)) {
+                    t = last_cut - std::min(last_cut, rng.below(64));
+                    ++below_cut;
+                }
+                if (heap.size() == cap) {
+                    heap.pop();
+                    ring.popMin();
+                }
+                heap.push(t);
+                ring.push(t);
+            } else if (op < 90) {
+                const Tick cut = now + rng.below(300) - rng.below(300);
+                backward += cut < last_cut;
+                last_cut = cut;
+                while (!heap.empty() && heap.top() <= cut)
+                    heap.pop();
+                ring.purgeUpTo(cut);
+            } else if (!heap.empty()) {
+                heap.pop();
+                ring.popMin();
+            }
+            ASSERT_EQ(ring.size(), heap.size()) << "op " << k;
+            if (!heap.empty()) {
+                ASSERT_EQ(ring.min(), heap.top()) << "op " << k;
+            }
+            at_cap += heap.size() == cap;
+        }
+        // Drain what is left in order.
+        while (!heap.empty()) {
+            ASSERT_EQ(ring.min(), heap.top());
+            heap.pop();
+            ring.popMin();
+        }
+        EXPECT_EQ(ring.size(), 0u);
+        EXPECT_GT(backward, 1000u);
+        EXPECT_GT(below_cut, 1000u);
+        EXPECT_GT(at_cap, 1000u) << "the ring never ran full";
+    }
+}
+
 TEST(InflightTable, RandomOpsMatchUnorderedMap)
 {
     // The table's own mechanics against a std::unordered_map: probing,
@@ -584,6 +652,73 @@ TEST(CacheInflight, RandomTraceMatchesUnorderedMapModel)
     EXPECT_GT(waited, 100u);
     EXPECT_GT(expired, 100u);
     EXPECT_GT(peak, 1000u) << "the table never had to grow";
+}
+
+TEST(Cache, MshrStallsMatchPriorityQueueModel)
+{
+    // The MSHR rule against a std::priority_queue model: each
+    // allocating read or atomic miss and each streaming read first
+    // drops the misses completed by its bank start, then, with every
+    // MSHR busy, waits for the earliest to complete (charging the
+    // wait to mshr_stall_cycles) before going downstream. Four banks
+    // let bank starts, and so the purge ticks, run backwards. Hits
+    // come from the cache itself (the tag array is not under test);
+    // a twin JitterMem draws the same downstream latencies, so the
+    // model predicts every miss's completion tick.
+    CacheParams p = smallCache();
+    p.ways = 4;  // 8 sets x 4 ways
+    p.banks = 4;
+    p.mshrs = 4;
+    JitterMem dram, twin;
+    stats::StatGroup g("t");
+    Cache c(p, &dram, &g);
+
+    std::priority_queue<Tick, std::vector<Tick>, std::greater<Tick>>
+        mshrs;
+    std::vector<Tick> bankFree(p.banks, 0);
+    Tick stall = 0;
+    unsigned stalled = 0, modeled = 0;
+
+    Rng rng(0x3541);
+    Tick base = 0;
+    for (int k = 0; k < 20000; ++k) {
+        base += rng.below(40);
+        const Tick issue = base + rng.below(256);
+        const Addr line =
+            (rng.chance(0.5) ? rng.below(64) : rng.below(1 << 20)) *
+            p.lineBytes;
+        const std::uint64_t roll = rng.below(10);
+        const AccessKind kind = roll < 5   ? AccessKind::Read
+                                : roll < 7 ? AccessKind::Atomic
+                                : roll < 9 ? AccessKind::ReadNoAlloc
+                                           : AccessKind::Write;
+
+        const Tick occupancy =
+            p.bankCycle +
+            (kind == AccessKind::Atomic ? p.atomicExtra : 0);
+        Tick &free = bankFree[(line / p.lineBytes) % p.banks];
+        Tick start = std::max(issue, free);
+        free = start + occupancy;
+
+        const MemResult r = c.access(issue, line, kind, 4);
+        if (r.hit || kind == AccessKind::Write)
+            continue;
+        while (!mshrs.empty() && mshrs.top() <= start)
+            mshrs.pop();
+        if (mshrs.size() >= p.mshrs) {
+            stall += mshrs.top() - start;
+            start = mshrs.top();
+            mshrs.pop();
+            ++stalled;
+        }
+        const Tick down = twin.access(start, line, kind, 4).complete;
+        mshrs.push(down);
+        ASSERT_EQ(r.complete, down + p.hitLatency) << "access " << k;
+        ++modeled;
+    }
+    EXPECT_EQ(g.lookup("c.mshr_stall_cycles"), static_cast<double>(stall));
+    EXPECT_GT(modeled, 5000u);
+    EXPECT_GT(stalled, 1000u);
 }
 
 namespace

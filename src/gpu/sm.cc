@@ -1,9 +1,7 @@
 #include "gpu/sm.hh"
 
 #include <algorithm>
-#include <atomic>
 #include <bit>
-#include <cstdlib>
 #include <string>
 
 #include "common/logging.hh"
@@ -15,51 +13,11 @@
 namespace scusim::gpu
 {
 
-namespace
-{
-
-/** Process-wide issue-path override: -1 unset, else SmIssuePath. */
-std::atomic<int> pathOverride{-1};
-
-} // namespace
-
-SmIssuePath
-StreamingMultiprocessor::defaultIssuePath()
-{
-    const int o = pathOverride.load(std::memory_order_relaxed);
-    if (o >= 0)
-        return static_cast<SmIssuePath>(o);
-    if (const char *s = std::getenv("SCUSIM_SM_PATH")) {
-        const std::string v = s;
-        if (v == "reference")
-            return SmIssuePath::Reference;
-        if (!v.empty() && v != "soa")
-            warn("ignoring unknown SCUSIM_SM_PATH='%s' "
-                 "(want 'soa' or 'reference')",
-                 s);
-    }
-    return SmIssuePath::SoaMasked;
-}
-
-void
-StreamingMultiprocessor::overrideDefaultIssuePath(SmIssuePath p)
-{
-    pathOverride.store(static_cast<int>(p),
-                       std::memory_order_relaxed);
-}
-
-void
-StreamingMultiprocessor::clearDefaultIssuePathOverride()
-{
-    pathOverride.store(-1, std::memory_order_relaxed);
-}
-
 StreamingMultiprocessor::StreamingMultiprocessor(
     const GpuParams &params, unsigned id, mem::MemLevel *shared_mem,
     stats::StatGroup *parent, sim::Simulation *sim)
     : p(params), smId(id), sharedMem(shared_mem), simPtr(sim),
       l1Cache(params.l1, shared_mem, parent),
-      path(defaultIssuePath()),
       outstandingLoads(params.maxOutstanding),
       grp(std::string("sm") + std::to_string(id), parent),
       smActiveCycles(&grp, "active_cycles",
@@ -421,16 +379,30 @@ StreamingMultiprocessor::compactRetired(std::uint64_t retire)
 }
 
 void
-StreamingMultiprocessor::tickSoa(Tick now)
+StreamingMultiprocessor::tick(Tick now)
 {
+    if (simPtr) {
+        // An injected FIFO stall: the SM stays busy but cannot
+        // drain, so its progress counter freezes and the deadlock
+        // watchdog eventually fires.
+        if (auto *inj = simPtr->faultInjector();
+            inj && inj->smStalled(smId, now))
+            return;
+    }
+    if (body.empty()) {
+        refill();
+        if (body.empty())
+            return;
+        noteProgress(body.size());
+    }
     advanceReady(now);
     smActiveCycles += 1;
 
     // Round-robin over the residents starting at the cursor, walking
     // only the slots that can actually issue: set bits of
     // ready & ~done, rotated so slots >= start go first. ctz visits
-    // each half in ascending slot order, which is exactly the
-    // reference scan's visit order restricted to issuable slots. A
+    // each half in ascending slot order, which is exactly a linear
+    // rotated scan's visit order restricted to issuable slots. A
     // wholly-blocked mask makes both loops vanish without touching
     // the warp arrays.
     unsigned issued = 0;
@@ -468,77 +440,6 @@ StreamingMultiprocessor::tickSoa(Tick now)
     const std::size_t added = body.size() - low;
     if (retired + added)
         noteProgress(retired + added);
-}
-
-void
-StreamingMultiprocessor::tickReference(Tick now)
-{
-    // The oracle still runs advanceReady so the mask invariants stay
-    // exact for the shared helpers; its scans below never read the
-    // masks.
-    advanceReady(now);
-    smActiveCycles += 1;
-
-    // Round-robin over the residents starting at the cursor. One
-    // modulo normalizes the cursor (retirement may have shrunk the
-    // list since last cycle); the walk itself wraps with a compare
-    // instead of a per-iteration `(rrCursor + i) % n` divide.
-    unsigned issued = 0;
-    const std::size_t n = body.size();
-    const std::size_t start = rrCursor % n;
-    std::size_t idx = start;
-    for (std::size_t i = 0; i < n && issued < p.issueWidth; ++i) {
-        if (wPc[idx] < wNumInstrs[idx] && wBlocked[idx] <= now) {
-            issueSlot(idx, now);
-            ++issued;
-        }
-        if (++idx == n)
-            idx = 0;
-    }
-    rrCursor = start + 1 == n ? 0 : start + 1;
-    if (issued)
-        noteProgress(issued);
-    else
-        issueStallCycles += 1;
-
-    // Retire finished warps — a warp with its last memory access
-    // still in flight stays resident until it completes.
-    std::uint64_t retire = 0;
-    for (std::size_t j = 0; j < n; ++j) {
-        if (wPc[j] >= wNumInstrs[j] && wBlocked[j] <= now)
-            retire |= std::uint64_t{1} << j;
-    }
-    const std::size_t retired = popcount64(retire);
-    if (retire)
-        compactRetired(retire);
-    const std::size_t low = body.size();
-    refill();
-    const std::size_t added = body.size() - low;
-    if (retired + added)
-        noteProgress(retired + added);
-}
-
-void
-StreamingMultiprocessor::tick(Tick now)
-{
-    if (simPtr) {
-        // An injected FIFO stall: the SM stays busy but cannot
-        // drain, so its progress counter freezes and the deadlock
-        // watchdog eventually fires.
-        if (auto *inj = simPtr->faultInjector();
-            inj && inj->smStalled(smId, now))
-            return;
-    }
-    if (body.empty()) {
-        refill();
-        if (body.empty())
-            return;
-        noteProgress(body.size());
-    }
-    if (path == SmIssuePath::Reference)
-        tickReference(now);
-    else
-        tickSoa(now);
 }
 
 } // namespace scusim::gpu

@@ -11,9 +11,7 @@
  * serviced cycle walks a handful of cache lines instead of a vector
  * of fat Warp structs. Blocked warps wait for promotion in a timing
  * wheel (short ALU waits) or a min-heap (memory waits), keyed by
- * stable warp index, so waking costs O(woken). A reference scan path
- * (`SmIssuePath`) keeps the straightforward linear loop alive as an
- * equivalence oracle.
+ * stable warp index, so waking costs O(woken).
  */
 
 #ifndef SCUSIM_GPU_SM_HH
@@ -153,18 +151,6 @@ struct Warp
  */
 using WarpSource = std::function<bool(Warp &out)>;
 
-/**
- * Which issue-scan implementation tick() runs. Both produce
- * byte-identical stats and tick trajectories; `Reference` is the
- * plain linear scan kept as the equivalence oracle for the mask
- * path (`sm_equiv_test` pits them against each other).
- */
-enum class SmIssuePath
-{
-    SoaMasked, ///< ctz walk over readyMask & ~doneMask (default)
-    Reference, ///< linear rotated scan testing every resident slot
-};
-
 class StreamingMultiprocessor : public sim::Clocked
 {
   public:
@@ -207,18 +193,6 @@ class StreamingMultiprocessor : public sim::Clocked
 
     /** Bind this SM's trace channel (non-owning, null detaches). */
     void setTraceChannel(trace::TraceChannel *c) { traceChan = c; }
-
-    /** The issue path this SM resolved at construction. */
-    SmIssuePath issuePath() const { return path; }
-
-    /**
-     * Issue path new SMs use: the override if set, else
-     * SCUSIM_SM_PATH=soa|reference, else SoaMasked.
-     */
-    static SmIssuePath defaultIssuePath();
-    /** Process-wide override (tests/bench); survives until cleared. */
-    static void overrideDefaultIssuePath(SmIssuePath path);
-    static void clearDefaultIssuePathOverride();
 
   private:
     friend class SmTestPeer; ///< check_test's corruption hook
@@ -269,18 +243,12 @@ class StreamingMultiprocessor : public sim::Clocked
     /** Pull new warps from the source while slots are free. */
     void refill();
 
-    /** The mask issue scan (default path). */
-    void tickSoa(Tick now);
-    /** The linear reference scan (equivalence oracle). */
-    void tickReference(Tick now);
-
     const GpuParams &p;
     unsigned smId;
     mem::MemLevel *sharedMem; ///< L2 side (atomics bypass the L1)
     sim::Simulation *simPtr;  ///< for fault-injector lookups (may
                               ///< be null in unit tests)
     mem::Cache l1Cache;
-    SmIssuePath path;
 
     /** Recompute wakeCache (blockedMin folded with the ready slots). */
     void recomputeWake();

@@ -122,36 +122,6 @@ appendMappedUnique(std::span<const Addr> lanes, std::uint64_t active,
     return out.size() - first;
 }
 
-/**
- * Dense-span variant: every lane is active. Spans wider than 64 lanes
- * (no mask can address them) run the linear rescan directly.
- */
-template <typename MapFn>
-inline std::size_t
-appendMappedUnique(std::span<const Addr> addrs, MapFn &&map,
-                   std::vector<Addr> &out)
-{
-    if (addrs.size() <= 64) {
-        return appendMappedUnique(
-            addrs, maskLow(static_cast<unsigned>(addrs.size())),
-            std::forward<MapFn>(map), out);
-    }
-    const std::size_t first = out.size();
-    for (Addr a : addrs) {
-        const Addr v = map(a);
-        bool seen = false;
-        for (std::size_t i = first; i < out.size(); ++i) {
-            if (out[i] == v) {
-                seen = true;
-                break;
-            }
-        }
-        if (!seen)
-            out.push_back(v);
-    }
-    return out.size() - first;
-}
-
 /** Append the distinct active-lane addresses (first-touch order). */
 inline std::size_t
 appendUniqueAddrs(std::span<const Addr> lanes, std::uint64_t active,
@@ -159,13 +129,6 @@ appendUniqueAddrs(std::span<const Addr> lanes, std::uint64_t active,
 {
     return appendMappedUnique(lanes, active,
                               [](Addr a) { return a; }, out);
-}
-
-/** Append the distinct addresses of @p addrs (first-touch order). */
-inline std::size_t
-appendUniqueAddrs(std::span<const Addr> addrs, std::vector<Addr> &out)
-{
-    return appendMappedUnique(addrs, [](Addr a) { return a; }, out);
 }
 
 /**
@@ -186,19 +149,6 @@ coalesceLanes(std::span<const Addr> lane_addrs, std::uint64_t active,
         [line_bytes](Addr a) { return alignDown(a, line_bytes); },
         out);
     sim::checkCoalesceBounds(popcount64(active), txns);
-    return txns;
-}
-
-/** Dense-span variant of coalesceLanes: every lane is active. */
-inline std::size_t
-coalesceLanes(std::span<const Addr> lane_addrs, unsigned line_bytes,
-              std::vector<Addr> &out)
-{
-    const std::size_t txns = appendMappedUnique(
-        lane_addrs,
-        [line_bytes](Addr a) { return alignDown(a, line_bytes); },
-        out);
-    sim::checkCoalesceBounds(lane_addrs.size(), txns);
     return txns;
 }
 

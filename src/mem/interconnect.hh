@@ -59,8 +59,8 @@ struct IcnMessage
 /**
  * All-to-all message network between the simulated devices. Clocked:
  * delivery happens in tick() once a message's arrival tick is due, so
- * messages ride the same event-driven/polling schedulers (and
- * watchdog) as every other component.
+ * messages ride the same event-driven scheduler (and watchdog) as
+ * every other component.
  */
 class Interconnect : public sim::Clocked
 {

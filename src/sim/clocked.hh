@@ -78,8 +78,8 @@ class Clocked
      * have changed outside tick() (new work arrived while idle), so
      * the event-driven scheduler must re-derive its wake tick. No-op
      * when the component is not registered with a Simulation (unit
-     * tests) or under the polling scheduler. Defined in
-     * simulation.cc (needs the Simulation definition).
+     * tests). Defined in simulation.cc (needs the Simulation
+     * definition).
      */
     void notifyWake();
 

@@ -1,8 +1,6 @@
 #include "sim/simulation.hh"
 
 #include <algorithm>
-#include <atomic>
-#include <cstdlib>
 #include <sstream>
 
 #include "common/logging.hh"
@@ -14,46 +12,7 @@
 namespace scusim::sim
 {
 
-namespace
-{
-
-/** Process-wide scheduler override: -1 unset, else SchedulerMode. */
-std::atomic<int> schedOverride{-1};
-
-} // namespace
-
-SchedulerMode
-Simulation::defaultScheduler()
-{
-    const int o = schedOverride.load(std::memory_order_relaxed);
-    if (o >= 0)
-        return static_cast<SchedulerMode>(o);
-    if (const char *s = std::getenv("SCUSIM_SCHEDULER")) {
-        const std::string v = s;
-        if (v == "polling")
-            return SchedulerMode::Polling;
-        if (!v.empty() && v != "event")
-            warn("ignoring unknown SCUSIM_SCHEDULER='%s' "
-                 "(want 'event' or 'polling')",
-                 s);
-    }
-    return SchedulerMode::EventDriven;
-}
-
-void
-Simulation::overrideDefaultScheduler(SchedulerMode m)
-{
-    schedOverride.store(static_cast<int>(m),
-                        std::memory_order_relaxed);
-}
-
-void
-Simulation::clearDefaultSchedulerOverride()
-{
-    schedOverride.store(-1, std::memory_order_relaxed);
-}
-
-Simulation::Simulation() : schedMode(defaultScheduler()) {}
+Simulation::Simulation() = default;
 Simulation::~Simulation() = default;
 
 void
@@ -143,8 +102,6 @@ Simulation::diagnosticDump() const
 void
 Simulation::wakeComponent(std::size_t idx)
 {
-    if (schedMode == SchedulerMode::Polling)
-        return; // the polling scan re-asks everyone anyway
     const Clocked *c = clockedList[idx];
     armed[idx] = c->busy(currentTick) ? currentTick : c->nextWakeTick();
 }
@@ -159,18 +116,8 @@ Simulation::rearmAll()
 Tick
 Simulation::nextInterestingTick()
 {
-    if (schedMode == SchedulerMode::Polling) {
-        Tick t = eq.nextTick();
-        for (const auto *c : clockedList) {
-            if (c->busy(currentTick))
-                return currentTick;
-            t = std::min(t, c->nextWakeTick());
-        }
-        return t;
-    }
-    // Event-driven: the earliest armed component or event, whichever
-    // comes first. A component armed at or before "now" is busy now —
-    // same answer the polling scan would give.
+    // The earliest armed component or event, whichever comes first.
+    // A component armed at or before "now" is busy now.
     Tick t = eq.nextTick();
     for (const Tick wake : armed) {
         if (wake <= currentTick)
@@ -193,30 +140,10 @@ void
 Simulation::stepOnce()
 {
     eq.serviceUpTo(currentTick);
-    if (schedMode == SchedulerMode::Polling) {
-        for (std::size_t j = 0; j < clockedList.size(); ++j) {
-            Clocked *c = clockedList[j];
-            // A frozen component keeps claiming to be busy but is
-            // never ticked — exactly the hang mode the deadlock
-            // watchdog exists to catch.
-            if (injector &&
-                injector->frozen(static_cast<unsigned>(j),
-                                 currentTick))
-                continue;
-            if (c->busy(currentTick)) {
-                c->noteTick(currentTick);
-                c->tick(currentTick);
-            }
-        }
-        ++currentTick;
-        return;
-    }
-
-    // Event-driven: collect every component due at or before now
-    // (consuming its wake) before servicing any — a wake armed while
-    // the due set is serviced is picked up on the next tick. Then
-    // service them in registration order, the order the polling loop
-    // ticks them in, which matters because components share the
+    // Collect every component due at or before now (consuming its
+    // wake) before servicing any — a wake armed while the due set is
+    // serviced is picked up on the next tick. Then service them in
+    // registration order, which matters because components share the
     // analytic memory system within a tick.
     readyScratch.clear();
     for (std::size_t idx = 0; idx < armed.size(); ++idx) {
@@ -230,9 +157,9 @@ Simulation::stepOnce()
         if (injector &&
             injector->frozen(static_cast<unsigned>(idx),
                              currentTick)) {
-            // Still busy, never ticked: stay due every tick so the
-            // loop keeps spinning until the deadlock watchdog fires,
-            // exactly as under polling.
+            // A frozen component keeps claiming to be busy but is
+            // never ticked: it stays due every tick so the loop keeps
+            // spinning until the deadlock watchdog fires.
             armed[idx] = currentTick + 1;
             continue;
         }

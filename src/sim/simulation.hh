@@ -35,17 +35,6 @@ namespace scusim::sim
 
 class FaultInjector;
 
-/**
- * How the simulation loop finds work. EventDriven (the default) caches
- * one wake tick per component and services only the components whose
- * wake has arrived; Polling is the reference
- * implementation that re-asks every Clocked component for busy()/
- * nextWakeTick() on every serviced tick. Both produce byte-identical
- * stats — the scheduler-equivalence test enforces it — so Polling
- * exists only as the equivalence oracle and the perf baseline.
- */
-enum class SchedulerMode { EventDriven, Polling };
-
 /** Progress-watchdog thresholds; 0 disables the respective check. */
 struct WatchdogConfig
 {
@@ -86,25 +75,6 @@ class Simulation
     Simulation &operator=(const Simulation &) = delete;
 
     Tick now() const { return currentTick; }
-
-    /** This simulation's scheduler (fixed per instance at creation,
-     *  unless overridden with setScheduler before the first run). */
-    SchedulerMode scheduler() const { return schedMode; }
-
-    /** Force this instance's scheduler (tests / benches). */
-    void setScheduler(SchedulerMode m) { schedMode = m; }
-
-    /**
-     * The mode new Simulations start in: the process-wide override
-     * (below) if set, else SCUSIM_SCHEDULER from the environment
-     * ("polling" or "event"), else EventDriven.
-     */
-    static SchedulerMode defaultScheduler();
-
-    /** Process-wide scheduler override for new Simulations
-     *  (benches comparing both modes); clear with the second form. */
-    static void overrideDefaultScheduler(SchedulerMode m);
-    static void clearDefaultSchedulerOverride();
 
     /** Register a cycle-stepped component (name for diagnostics). */
     void addClocked(Clocked *c, std::string name = "");
@@ -208,7 +178,6 @@ class Simulation
     trace::TraceChannel *simChan = nullptr;
     std::vector<stats::Timeseries *> timeseries;
 
-    SchedulerMode schedMode;
     /**
      * Earliest tick each component can be busy (tickNever = idle),
      * in registration order. The components are the SMs (16 per

@@ -7,6 +7,12 @@
  * just the headline metrics — retraced the same trajectory. This is
  * the property the parallel experiment executor and the simlint
  * nondeterminism rules exist to protect.
+ *
+ * ModelGolden goes one step further: each cell of the golden matrix
+ * (tests/golden.hh) must reproduce the cycle count and stats-dump
+ * digest committed in tests/golden/model_digests.txt, so model drift
+ * across commits fails here. After an intended model change, rerun
+ * golden_bless and commit the rewritten file.
  */
 
 #include <gtest/gtest.h>
@@ -14,10 +20,20 @@
 #include <sstream>
 #include <string>
 
+#include "golden.hh"
 #include "harness/runner.hh"
 
 using namespace scusim;
 using namespace scusim::harness;
+
+namespace scusim::golden
+{
+void
+PrintTo(const Cell &c, std::ostream *os)
+{
+    *os << c.name();
+}
+} // namespace scusim::golden
 
 namespace
 {
@@ -77,5 +93,31 @@ INSTANTIATE_TEST_SUITE_P(
                std::get<1>(info.param) + "_dev" +
                std::to_string(std::get<2>(info.param));
     });
+
+class ModelGolden : public ::testing::TestWithParam<golden::Cell>
+{
+};
+
+TEST_P(ModelGolden, StatsDumpMatchesCommittedDigest)
+{
+    static const auto committed = golden::readDigests();
+    const golden::Cell &cell = GetParam();
+    const auto it = committed.find(cell.name());
+    ASSERT_NE(it, committed.end())
+        << "no committed golden for " << cell.name() << " in "
+        << SCUSIM_GOLDEN_DIGESTS << "; run golden_bless";
+    const golden::Digest got = golden::runCell(cell);
+    EXPECT_TRUE(got.validated) << "functional validation failed";
+    EXPECT_EQ(golden::formatLine(cell.name(), got),
+              golden::formatLine(cell.name(), it->second))
+        << "the model changed; if that is intended, rerun "
+           "golden_bless and commit the diff";
+}
+
+INSTANTIATE_TEST_SUITE_P(, ModelGolden,
+                         ::testing::ValuesIn(golden::matrix()),
+                         [](const auto &info) {
+                             return info.param.name();
+                         });
 
 } // namespace

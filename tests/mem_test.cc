@@ -62,7 +62,7 @@ TEST(Coalescer, FullyCoalescedWarp)
     for (Addr i = 0; i < 32; ++i)
         lanes.push_back(0x1000 + i * 4);
     std::vector<Addr> out;
-    EXPECT_EQ(coalesceLanes(lanes, 128, out), 1u);
+    EXPECT_EQ(coalesceLanes(lanes, maskLow(32), 128, out), 1u);
     EXPECT_EQ(out[0], Addr{0x1000});
 }
 
@@ -72,7 +72,7 @@ TEST(Coalescer, FullyDivergentWarp)
     for (Addr i = 0; i < 32; ++i)
         lanes.push_back(i * 4096);
     std::vector<Addr> out;
-    EXPECT_EQ(coalesceLanes(lanes, 128, out), 32u);
+    EXPECT_EQ(coalesceLanes(lanes, maskLow(32), 128, out), 32u);
 }
 
 TEST(Coalescer, MaskSelectsActiveLanes)
@@ -134,35 +134,6 @@ TEST(Coalescer, WideMaskFallsBackToLinearRescan)
     EXPECT_EQ(appendUniqueAddrs(lanes, maskLow(48), out), 20u);
     for (Addr i = 0; i < 20; ++i)
         EXPECT_EQ(out[i], i * 4096);
-}
-
-TEST(Coalescer, DenseSpanWiderThan64Lanes)
-{
-    // No 64-bit mask can address a 70-lane span: the dense overload
-    // must still dedup it (legacy linear loop).
-    std::vector<Addr> lanes;
-    for (Addr i = 0; i < 70; ++i)
-        lanes.push_back((i % 7) * 128);
-    std::vector<Addr> out;
-    EXPECT_EQ(coalesceLanes(lanes, 128, out), 7u);
-    for (Addr i = 0; i < 7; ++i)
-        EXPECT_EQ(out[i], i * 128);
-}
-
-TEST(Coalescer, DenseAndMaskedPathsAgree)
-{
-    // The dense overload forwards to the masked one for spans <= 64;
-    // a scattered-duplicate pattern must produce identical output
-    // through both entry points.
-    std::vector<Addr> lanes;
-    for (Addr i = 0; i < 32; ++i)
-        lanes.push_back(mixBits(i) % 5 * 4096);
-    std::vector<Addr> dense, masked;
-    const std::size_t a = appendUniqueAddrs(lanes, dense);
-    const std::size_t b =
-        appendUniqueAddrs(lanes, maskLow(32), masked);
-    EXPECT_EQ(a, b);
-    EXPECT_EQ(dense, masked);
 }
 
 TEST(Coalescer, StatsEfficiency)

@@ -69,6 +69,39 @@ randomMask(Rng &rng, std::size_t n, double p)
     return m;
 }
 
+/**
+ * Stream-compaction oracle built the data-parallel way: an exclusive
+ * prefix sum (scan) of each input element's output count gives the
+ * offset of its first output, then every element writes (scatters)
+ * its outputs from there. Element i's outputs are all @p value(i).
+ */
+template <typename Value>
+std::vector<std::uint32_t>
+scanScatter(const std::vector<std::uint32_t> &counts, Value value)
+{
+    std::vector<std::size_t> offset(counts.size() + 1, 0);
+    std::partial_sum(counts.begin(), counts.end(), offset.begin() + 1);
+    std::vector<std::uint32_t> out(offset.back());
+    for (std::size_t i = 0; i < counts.size(); ++i)
+        for (std::uint32_t j = 0; j < counts[i]; ++j)
+            out[offset[i] + j] = value(i);
+    return out;
+}
+
+bool
+oracleCompare(std::uint32_t v, CompareOp op, std::uint32_t ref)
+{
+    switch (op) {
+    case CompareOp::Eq: return v == ref;
+    case CompareOp::Ne: return v != ref;
+    case CompareOp::Lt: return v < ref;
+    case CompareOp::Le: return v <= ref;
+    case CompareOp::Gt: return v > ref;
+    case CompareOp::Ge: return v >= ref;
+    }
+    return false;
+}
+
 } // namespace
 
 class ScuOpProperty : public ::testing::TestWithParam<std::uint64_t>
@@ -139,6 +172,105 @@ TEST_P(ScuOpProperty, AccessExpansionMatchesOracle)
         for (std::uint32_t j = 0; j < cnt[i]; ++j)
             want.push_back(data[idx[i] + j]);
     }
+    ASSERT_EQ(got_n, want.size());
+    for (std::size_t i = 0; i < want.size(); ++i)
+        EXPECT_EQ(out[i], want[i]);
+}
+
+TEST_P(ScuOpProperty, BitmaskConstructorMatchesOracle)
+{
+    // Every comparison operator, then the flags it built drive a Data
+    // Compaction (the BFS contraction chain): the compacted stream
+    // must be the scan-then-scatter of the oracle's flags.
+    Rng rng(GetParam() * 17 + 9);
+    for (const CompareOp op :
+         {CompareOp::Eq, CompareOp::Ne, CompareOp::Lt, CompareOp::Le,
+          CompareOp::Gt, CompareOp::Ge}) {
+        Rig r;
+        const std::size_t n = 200 + rng.below(800);
+        auto vals = randomVec(rng, n, 64); // small range: Eq hits
+        const auto ref = static_cast<std::uint32_t>(rng.below(64));
+
+        Scu::Elems in(r.as, "in", n), out(r.as, "out", n);
+        Scu::Flags flags(r.as, "flags", n);
+        for (std::size_t i = 0; i < n; ++i)
+            in[i] = vals[i];
+        r.scu->bitmaskConstructor(in, n, op, ref, flags);
+
+        std::vector<std::uint32_t> keep(n);
+        for (std::size_t i = 0; i < n; ++i) {
+            keep[i] = oracleCompare(vals[i], op, ref);
+            ASSERT_EQ(flags[i], keep[i])
+                << "op " << static_cast<int>(op) << ", element " << i;
+        }
+        std::size_t got_n = 0;
+        r.scu->dataCompaction(in, n, &flags, out, got_n);
+        const auto want = scanScatter(
+            keep, [&](std::size_t i) { return vals[i]; });
+        ASSERT_EQ(got_n, want.size()) << "op " << static_cast<int>(op);
+        for (std::size_t i = 0; i < want.size(); ++i)
+            EXPECT_EQ(out[i], want[i]);
+    }
+}
+
+TEST_P(ScuOpProperty, AccessCompactionMatchesOracle)
+{
+    Rng rng(GetParam() * 19 + 2);
+    Rig r;
+    const std::size_t data_n = 300 + rng.below(700);
+    const std::size_t n = 200 + rng.below(800);
+    auto data = randomVec(rng, data_n, 1 << 30);
+    auto idx = randomVec(rng, n, static_cast<std::uint32_t>(data_n));
+    auto mask = randomMask(rng, n, 0.4);
+
+    Scu::Elems d(r.as, "d", data_n), ix(r.as, "ix", n),
+        out(r.as, "out", n);
+    Scu::Flags m(r.as, "m", n);
+    for (std::size_t i = 0; i < data_n; ++i)
+        d[i] = data[i];
+    for (std::size_t i = 0; i < n; ++i) {
+        ix[i] = idx[i];
+        m[i] = mask[i];
+    }
+
+    std::size_t got_n = 0;
+    r.scu->accessCompaction(d, ix, n, &m, out, got_n);
+
+    const auto want = scanScatter(
+        std::vector<std::uint32_t>(mask.begin(), mask.end()),
+        [&](std::size_t i) { return data[idx[i]]; });
+    ASSERT_EQ(got_n, want.size());
+    for (std::size_t i = 0; i < want.size(); ++i)
+        EXPECT_EQ(out[i], want[i]);
+}
+
+TEST_P(ScuOpProperty, ReplicationCompactionMatchesOracle)
+{
+    Rng rng(GetParam() * 23 + 4);
+    Rig r;
+    const std::size_t n = 200 + rng.below(800);
+    auto vals = randomVec(rng, n, 1 << 20);
+    auto cnt = randomVec(rng, n, 9); // includes zero-count elements
+    auto mask = randomMask(rng, n, 0.6);
+
+    std::vector<std::uint32_t> counts(n);
+    for (std::size_t i = 0; i < n; ++i)
+        counts[i] = mask[i] ? cnt[i] : 0;
+    const auto want = scanScatter(
+        counts, [&](std::size_t i) { return vals[i]; });
+
+    Scu::Elems in(r.as, "in", n), c(r.as, "c", n),
+        out(r.as, "out", want.size() + 1);
+    Scu::Flags m(r.as, "m", n);
+    for (std::size_t i = 0; i < n; ++i) {
+        in[i] = vals[i];
+        c[i] = cnt[i];
+        m[i] = mask[i];
+    }
+
+    std::size_t got_n = 0;
+    r.scu->replicationCompaction(in, c, n, &m, out, got_n);
+
     ASSERT_EQ(got_n, want.size());
     for (std::size_t i = 0; i < want.size(); ++i)
         EXPECT_EQ(out[i], want[i]);

@@ -238,10 +238,8 @@ class ScriptedClocked : public Clocked
  */
 struct StepScenario
 {
-    StepScenario(std::uint64_t seed, SchedulerMode mode, bool freeze)
-        : rng(seed)
+    StepScenario(std::uint64_t seed, bool freeze) : rng(seed)
     {
-        sim.setScheduler(mode);
         if (freeze) {
             FaultPlan plan;
             plan.add({.kind = FaultKind::ComponentFreeze,
@@ -288,10 +286,10 @@ struct StepScenario
 };
 
 void
-expectStepMatchesSingleSteps(SchedulerMode mode, bool freeze)
+expectStepMatchesSingleSteps(bool freeze)
 {
     for (std::uint64_t seed = 1; seed <= 4; ++seed) {
-        StepScenario fast(seed, mode, freeze), single(seed, mode, freeze);
+        StepScenario fast(seed, freeze), single(seed, freeze);
         Rng windows(seed * 977);
         std::size_t edges = 0;
         while (fast.sim.now() < 3300) {
@@ -336,8 +334,6 @@ TEST(Simulation, StepMatchesSingleSteps)
     // step(n) jumps across ticks where nothing is due; it must
     // service the same events and components, at the same ticks and
     // in the same order, as n calls of step(1).
-    expectStepMatchesSingleSteps(SchedulerMode::EventDriven, false);
-    expectStepMatchesSingleSteps(SchedulerMode::Polling, false);
-    expectStepMatchesSingleSteps(SchedulerMode::EventDriven, true);
-    expectStepMatchesSingleSteps(SchedulerMode::Polling, true);
+    expectStepMatchesSingleSteps(false);
+    expectStepMatchesSingleSteps(true);
 }

@@ -1,22 +1,23 @@
 /**
  * @file
- * SM issue-path equivalence gate: the SoA+mask scheduling fast path
- * must retrace exactly the trajectory of the linear reference scan.
- * Two layers of evidence, same pattern as sched_test:
- *
- *  - tick-level: two standalone SM rigs — one per SmIssuePath — are
- *    driven in lockstep over a synthetic warp program (coalesced and
- *    divergent loads, stores, atomics, divergent-length compute,
- *    more warps than resident slots) and must agree on busy(),
- *    nextWakeTick() and active-cycle count at EVERY serviced tick,
- *    then on the full stats dump at the end;
- *  - full-run: complete primitive runs under both paths produce
- *    byte-identical stats dumps for every primitive on both systems.
+ * SM issue-path trajectory gate. A standalone SM rig is driven tick by
+ * tick over a synthetic warp program (coalesced and divergent loads,
+ * stores, atomics, divergent-length compute, more warps than resident
+ * slots). Every tick the drive visits folds the tick, busy() and
+ * nextWakeTick(), and every serviced tick the active-cycle count,
+ * into an FNV-1a digest; the drive's kernel stats and full stats dump
+ * are folded in at the end. Each
+ * drive's digest is pinned to the value the SoA+mask issue path and
+ * the linear reference scan it replaced both produced, so any change
+ * to when a warp issues, blocks, wakes or retires fails here.
+ * Whole-run stats dumps are pinned by ModelGolden in
+ * determinism_test.
  */
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
+#include <algorithm>
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <sstream>
@@ -24,108 +25,18 @@
 
 #include "common/bits.hh"
 #include "gpu/sm.hh"
-#include "harness/runner.hh"
 #include "mem/mem_system.hh"
 #include "sim/clock.hh"
 #include "sim/fault.hh"
 #include "sim/simulation.hh"
 #include "stats/stats.hh"
+#include "store/format.hh"
 
 using namespace scusim;
-using namespace scusim::harness;
-using gpu::SmIssuePath;
 using gpu::StreamingMultiprocessor;
 
 namespace
 {
-
-/** Force every SM built during the guard's lifetime onto @p path. */
-class IssuePathGuard
-{
-  public:
-    explicit IssuePathGuard(SmIssuePath p)
-    {
-        StreamingMultiprocessor::overrideDefaultIssuePath(p);
-    }
-    ~IssuePathGuard()
-    {
-        StreamingMultiprocessor::clearDefaultIssuePathOverride();
-    }
-};
-
-std::string
-statsDumpFor(const RunConfig &base, SmIssuePath path)
-{
-    IssuePathGuard guard(path);
-    RunConfig cfg = base;
-    std::ostringstream os;
-    cfg.dumpStatsTo = &os;
-    RunResult r = runPrimitive(cfg);
-    EXPECT_TRUE(r.validated)
-        << to_string(cfg.primitive) << " on " << cfg.systemName
-        << " failed functional validation";
-    EXPECT_FALSE(os.str().empty());
-    return os.str();
-}
-
-class SmPathEquivalence
-    : public ::testing::TestWithParam<
-          std::tuple<Primitive, std::string>>
-{
-};
-
-TEST_P(SmPathEquivalence, SoaAndReferenceDumpIdenticalStats)
-{
-    const auto [prim, system] = GetParam();
-
-    RunConfig cfg;
-    cfg.systemName = system;
-    cfg.primitive = prim;
-    cfg.mode = ScuMode::ScuEnhanced;
-    cfg.dataset = "cond";
-    cfg.scale = 0.01;
-
-    const std::string soa =
-        statsDumpFor(cfg, SmIssuePath::SoaMasked);
-    const std::string ref =
-        statsDumpFor(cfg, SmIssuePath::Reference);
-    ASSERT_EQ(soa.size(), ref.size());
-    EXPECT_EQ(soa, ref)
-        << "the SoA+mask issue path changed the simulation";
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    AllPrimitivesBothSystems, SmPathEquivalence,
-    ::testing::Combine(::testing::Values(Primitive::Bfs,
-                                         Primitive::Sssp,
-                                         Primitive::Pr),
-                       ::testing::Values(std::string("GTX980"),
-                                         std::string("TX1"))),
-    [](const auto &info) {
-        return to_string(std::get<0>(info.param)) + "_" +
-               std::get<1>(info.param);
-    });
-
-TEST(SmIssuePath_, DefaultResolutionOrder)
-{
-    ::unsetenv("SCUSIM_SM_PATH");
-    EXPECT_EQ(StreamingMultiprocessor::defaultIssuePath(),
-              SmIssuePath::SoaMasked);
-    ::setenv("SCUSIM_SM_PATH", "reference", 1);
-    EXPECT_EQ(StreamingMultiprocessor::defaultIssuePath(),
-              SmIssuePath::Reference);
-    ::setenv("SCUSIM_SM_PATH", "soa", 1);
-    EXPECT_EQ(StreamingMultiprocessor::defaultIssuePath(),
-              SmIssuePath::SoaMasked);
-    // The process-wide override out-ranks the environment.
-    ::setenv("SCUSIM_SM_PATH", "soa", 1);
-    StreamingMultiprocessor::overrideDefaultIssuePath(
-        SmIssuePath::Reference);
-    EXPECT_EQ(StreamingMultiprocessor::defaultIssuePath(),
-              SmIssuePath::Reference);
-    StreamingMultiprocessor::clearDefaultIssuePathOverride();
-    ::unsetenv("SCUSIM_SM_PATH");
-}
 
 /** Edits a rig's parameters before anything is built from them. */
 using ParamTweak = std::function<void(gpu::GpuParams &)>;
@@ -139,14 +50,12 @@ tx1With(const ParamTweak &tweak)
     return p;
 }
 
-/**
- * A standalone SM on its own memory system, stat tree and
- * Simulation, latched to one issue path at construction.
- */
+/** A standalone SM on its own memory system, stat tree and
+ *  Simulation. */
 struct SmRig
 {
-    explicit SmRig(SmIssuePath path, const ParamTweak &tweak = {})
-        : guard(path), params(tx1With(tweak)),
+    explicit SmRig(const ParamTweak &tweak = {})
+        : params(tx1With(tweak)),
           clk(params.freqHz), root("t"),
           mem(params.memsys, clk, &root),
           sm(params, 0, &mem, &root, &sim)
@@ -162,7 +71,6 @@ struct SmRig
         return os.str();
     }
 
-    IssuePathGuard guard; ///< active while `sm` resolves its path
     gpu::GpuParams params;
     sim::ClockDomain clk;
     stats::StatGroup root;
@@ -241,94 +149,94 @@ makeSource(std::uint64_t count)
     };
 }
 
-/** What a lockstep drive went through, for coverage floors. */
-struct LockstepCoverage
+/** What a drive went through (coverage floors) and its digest. */
+struct Drive
 {
-    std::uint64_t serviced = 0; ///< ticks both SMs were ticked
+    std::uint64_t serviced = 0; ///< ticks the SM was ticked
     std::uint64_t stalled = 0;  ///< of those, ticks a fault froze
     std::uint64_t longWaits = 0; ///< fast-forwards over > 4096 ticks
+    std::uint64_t digest = store::fnvOffsetBasis;
+
+    void
+    fold(std::uint64_t v)
+    {
+        digest = store::fnv1a(&v, sizeof v, digest);
+    }
 };
 
 /**
- * Drive a Reference and a SoaMasked rig, both built with @p tweak,
- * in lockstep over 3x as many synthetic warps as resident slots, so
- * retirement compaction and refill churn continuously. They must
- * agree on busy(), nextWakeTick() and the active-cycle count at every
- * serviced tick, and on the kernel stats and full stats dump at the
- * end. @p fault, if armed, is installed in both rigs. Returns at the
- * first disagreement.
+ * Drive a rig built with @p tweak over 3x as many synthetic warps as
+ * resident slots, so retirement compaction and refill churn
+ * continuously, folding each visited tick's busy() and
+ * nextWakeTick(), each serviced tick's active-cycle count, then the
+ * kernel stats and the full stats dump, into the returned digest. @p fault, if armed, is
+ * installed in the rig.
  */
-LockstepCoverage
-expectLockstep(const ParamTweak &tweak = {},
-               const sim::FaultPlan &fault = {})
+Drive
+drive(const ParamTweak &tweak = {}, const sim::FaultPlan &fault = {})
 {
-    SmRig ref(SmIssuePath::Reference, tweak);
-    SmRig soa(SmIssuePath::SoaMasked, tweak);
-    EXPECT_EQ(ref.sm.issuePath(), SmIssuePath::Reference);
-    EXPECT_EQ(soa.sm.issuePath(), SmIssuePath::SoaMasked);
-    if (!fault.empty()) {
-        ref.sim.installFaultInjector(
+    SmRig rig(tweak);
+    if (!fault.empty())
+        rig.sim.installFaultInjector(
             std::make_unique<sim::FaultInjector>(fault, 1));
-        soa.sim.installFaultInjector(
-            std::make_unique<sim::FaultInjector>(fault, 1));
-    }
 
-    const std::uint64_t warps = 3 * ref.params.maxResidentWarps();
-    gpu::KernelStats ksRef, ksSoa;
-    ref.sm.beginKernel(makeSource(warps), &ksRef);
-    soa.sm.beginKernel(makeSource(warps), &ksSoa);
+    const std::uint64_t warps = 3 * rig.params.maxResidentWarps();
+    gpu::KernelStats ks;
+    rig.sm.beginKernel(makeSource(warps), &ks);
 
-    LockstepCoverage cov;
+    Drive d;
     Tick now = 0;
-    for (std::uint64_t iter = 0; iter < 50'000'000; ++iter) {
-        const Tick wr = ref.sm.nextWakeTick();
-        EXPECT_EQ(wr, soa.sm.nextWakeTick()) << "tick " << now;
-        const bool br = ref.sm.busy(now);
-        EXPECT_EQ(br, soa.sm.busy(now)) << "tick " << now;
-        if (::testing::Test::HasFailure())
-            return cov;
-        if (br) {
-            const double active = ref.sm.activeCycles();
-            ref.sm.tick(now);
-            soa.sm.tick(now);
-            EXPECT_EQ(ref.sm.activeCycles(), soa.sm.activeCycles())
-                << "tick " << now;
-            cov.stalled += ref.sm.activeCycles() == active;
-            ++cov.serviced;
+    for (std::uint64_t iter = 0; iter < 1'000'000; ++iter) {
+        const Tick wake = rig.sm.nextWakeTick();
+        const bool busy = rig.sm.busy(now);
+        d.fold(now);
+        d.fold(busy);
+        d.fold(wake);
+        if (busy) {
+            const double active = rig.sm.activeCycles();
+            rig.sm.tick(now);
+            d.fold(static_cast<std::uint64_t>(rig.sm.activeCycles()));
+            d.stalled += rig.sm.activeCycles() == active;
+            ++d.serviced;
             ++now;
             continue;
         }
-        if (wr == tickNever)
+        if (wake == tickNever)
             break;
-        cov.longWaits += wr > now + 4096;
-        now = std::max(now + 1, wr); // fast-forward a pure stall
+        d.longWaits += wake > now + 4096;
+        now = std::max(now + 1, wake); // fast-forward a pure stall
     }
-    EXPECT_GT(cov.serviced, warps); // the drive actually ran work
+    EXPECT_GT(d.serviced, warps); // the drive actually ran work
+    if (rig.sm.busy(now) || rig.sm.nextWakeTick() != tickNever) {
+        // A lost wake-up keeps the SM busy forever: fail the drive
+        // (and its digest) instead of endKernel's busy-SM panic.
+        ADD_FAILURE() << "the SM had not drained by tick " << now;
+        return d;
+    }
+    rig.sm.endKernel(now);
 
-    ref.sm.endKernel(now);
-    soa.sm.endKernel(now);
+    EXPECT_EQ(ks.warps, warps);
+    for (const std::uint64_t v :
+         {ks.warps, ks.threads, ks.warpInstrs, ks.threadInstrs,
+          ks.warpMemInstrs, ks.memTransactions, ks.memLanes})
+        d.fold(v);
+    const std::string dump = rig.dump();
+    EXPECT_FALSE(dump.empty());
+    d.digest = store::fnv1a(dump.data(), dump.size(), d.digest);
+    return d;
+}
 
-    EXPECT_EQ(ksRef.warps, ksSoa.warps);
-    EXPECT_EQ(ksRef.warps, warps);
-    EXPECT_EQ(ksRef.threads, ksSoa.threads);
-    EXPECT_EQ(ksRef.warpInstrs, ksSoa.warpInstrs);
-    EXPECT_EQ(ksRef.threadInstrs, ksSoa.threadInstrs);
-    EXPECT_EQ(ksRef.warpMemInstrs, ksSoa.warpMemInstrs);
-    EXPECT_EQ(ksRef.memTransactions, ksSoa.memTransactions);
-    EXPECT_EQ(ksRef.memLanes, ksSoa.memLanes);
-
-    const std::string dr = ref.dump();
-    const std::string ds = soa.dump();
-    EXPECT_FALSE(dr.empty());
-    EXPECT_EQ(dr, ds)
-        << "issue paths diverged somewhere the per-tick probes "
-           "don't reach";
-    return cov;
+/** Pin @p d's digest, printed in hex on a mismatch. */
+void
+expectDigest(const Drive &d, std::uint64_t want)
+{
+    EXPECT_EQ(d.digest, want)
+        << "SM trajectory changed: digest 0x" << std::hex << d.digest;
 }
 
 TEST(SmTickEquivalence, LockstepTrajectoryAndFinalStatsMatch)
 {
-    expectLockstep();
+    expectDigest(drive(), 0x6d5ff5b5d9460e4dull);
 }
 
 /**
@@ -346,12 +254,12 @@ TEST(SmTickEquivalence, LoadsBlockedPastFourThousandTicks)
     // A slow interconnect makes every L2 round trip longer than 4096
     // ticks, far past the near horizon, so whole-SM stalls end only
     // when the far heap's loads come back.
-    const LockstepCoverage cov =
-        expectLockstep([](gpu::GpuParams &p) {
-            allSlots(p);
-            p.memsys.icnLatency = 2100;
-        });
-    EXPECT_GE(cov.longWaits, 40u); // 48 when written
+    const Drive d = drive([](gpu::GpuParams &p) {
+        allSlots(p);
+        p.memsys.icnLatency = 2100;
+    });
+    EXPECT_GE(d.longWaits, 40u); // 48 when written
+    expectDigest(d, 0xd751a4f818c5c435ull);
 }
 
 TEST(SmTickEquivalence, FifoStallLongerThanTheNearHorizonResumes)
@@ -367,27 +275,29 @@ TEST(SmTickEquivalence, FifoStallLongerThanTheNearHorizonResumes)
                    .at = at,
                    .magnitude = 300,
                    .target = 0});
-    const LockstepCoverage cov = expectLockstep(allSlots, stall);
-    EXPECT_GE(cov.stalled, 250u); // 313 when written
-    const LockstepCoverage edge = expectLockstep(
+    const Drive d = drive(allSlots, stall);
+    EXPECT_GE(d.stalled, 250u); // 313 when written
+    expectDigest(d, 0x2ce6082c8e69fdcaull);
+    const Drive edge = drive(
         [](gpu::GpuParams &p) {
             allSlots(p);
             p.depIssueLatency = StreamingMultiprocessor::kNearHorizon;
         },
         stall);
     EXPECT_GE(edge.stalled, 500u); // 595 when written
+    expectDigest(edge, 0xc7a91b44ff164be0ull);
 }
 
 TEST(SmTickEquivalence, DependentLatencyPastTheNearHorizon)
 {
     // Every ALU wait outlasts the near horizon, so all blocked warps
     // go through the far heap.
-    const LockstepCoverage cov =
-        expectLockstep([](gpu::GpuParams &p) {
-            allSlots(p);
-            p.depIssueLatency = StreamingMultiprocessor::kNearHorizon + 13;
-        });
-    EXPECT_GE(cov.serviced, 900u); // 975 when written
+    const Drive d = drive([](gpu::GpuParams &p) {
+        allSlots(p);
+        p.depIssueLatency = StreamingMultiprocessor::kNearHorizon + 13;
+    });
+    EXPECT_GE(d.serviced, 900u); // 975 when written
+    expectDigest(d, 0x3dfb85e429edf523ull);
 }
 
 TEST(SmTickEquivalence, WarpArrivingBlockedIsPromotedIdentically)
@@ -395,35 +305,32 @@ TEST(SmTickEquivalence, WarpArrivingBlockedIsPromotedIdentically)
     // A warp whose handoff state starts blocked in the future
     // exercises the blocked-at-refill branch of the mask
     // bookkeeping.
-    for (SmIssuePath path :
-         {SmIssuePath::Reference, SmIssuePath::SoaMasked}) {
-        SmRig rig(path);
-        auto next = std::make_shared<int>(0);
-        rig.sm.beginKernel(
-            [next](gpu::Warp &out) {
-                if ((*next)++ > 0)
-                    return false;
-                gpu::WarpInstr c;
-                c.kind = gpu::ThreadOp::Kind::Compute;
-                c.computeCount = 1;
-                out.instrs.push_back(c);
-                out.threads = 32;
-                out.blockedUntil = 25;
-                return true;
-            },
-            nullptr);
-        EXPECT_FALSE(rig.sm.busy(0));
-        EXPECT_EQ(rig.sm.nextWakeTick(), 25u);
-        EXPECT_TRUE(rig.sm.busy(25));
-        rig.sm.tick(25); // issues the single compute op
-        // One dependent-latency stall later the warp retires.
-        const Tick done = 25 + rig.params.depIssueLatency;
-        EXPECT_EQ(rig.sm.nextWakeTick(), done);
-        rig.sm.tick(done);
-        EXPECT_EQ(rig.sm.nextWakeTick(), tickNever);
-        rig.sm.endKernel(done);
-        EXPECT_EQ(rig.sm.activeCycles(), 2.0);
-    }
+    SmRig rig;
+    auto next = std::make_shared<int>(0);
+    rig.sm.beginKernel(
+        [next](gpu::Warp &out) {
+            if ((*next)++ > 0)
+                return false;
+            gpu::WarpInstr c;
+            c.kind = gpu::ThreadOp::Kind::Compute;
+            c.computeCount = 1;
+            out.instrs.push_back(c);
+            out.threads = 32;
+            out.blockedUntil = 25;
+            return true;
+        },
+        nullptr);
+    EXPECT_FALSE(rig.sm.busy(0));
+    EXPECT_EQ(rig.sm.nextWakeTick(), 25u);
+    EXPECT_TRUE(rig.sm.busy(25));
+    rig.sm.tick(25); // issues the single compute op
+    // One dependent-latency stall later the warp retires.
+    const Tick done = 25 + rig.params.depIssueLatency;
+    EXPECT_EQ(rig.sm.nextWakeTick(), done);
+    rig.sm.tick(done);
+    EXPECT_EQ(rig.sm.nextWakeTick(), tickNever);
+    rig.sm.endKernel(done);
+    EXPECT_EQ(rig.sm.activeCycles(), 2.0);
 }
 
 } // namespace

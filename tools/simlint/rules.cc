@@ -206,8 +206,8 @@ ruleFifoUnguardedPush(const Engine &e, FindingSink &out)
 /**
  * wake-not-armed: under the event-driven scheduler, a Clocked
  * component that gains pending work outside tick() must call
- * notifyWake(), or the scheduler may never service it (a hang the
- * polling oracle hides). Trigger: in a file that defines T::tick(),
+ * notifyWake(), or the scheduler may never service it (a hang a
+ * polling loop would hide). Trigger: in a file that defines T::tick(),
  * any other member of T that pushes onto a (non-local) BoundedFifo
  * must reach a notifyWake() on every path from the push to the
  * function exit (backward must-analysis — the arm has to

@@ -13,11 +13,6 @@
  * two artifacts are written by different code paths, so agreement is
  * a real invariant, not a tautology.
  *
- * With --bench it instead reads a perf_core self-timing artifact
- * (BENCH_core.json) and prints the per-workload scheduler speedup
- * table, so simulator-performance trends are greppable next to the
- * figure artifacts.
- *
  * With --by-device it prints the sharded view instead: one aggregate
  * row per run plus one indented row per device slice (from the
  * dev<k>_* CSV columns multi-device runs emit), so per-device SCU
@@ -26,7 +21,6 @@
  *   trend <artifact.csv> [<artifact.failures.json>]
  *   trend --check <artifact.csv> [<artifact.failures.json>]
  *   trend --by-device <artifact.csv>
- *   trend --bench <BENCH_core.json>
  *   trend --self-test
  */
 
@@ -198,126 +192,6 @@ parseFailuresJson(const std::string &doc)
         pos = end;
     }
     return out;
-}
-
-struct BenchEntry
-{
-    std::string label;
-    /**
-     * Row flavor since bench schema 2: "scheduler" (event vs polling
-     * full runs) or "smtick" (Sm::tick microbench, reference scan vs
-     * SoA+mask path reusing the pollingSec/eventSec keys). Schema-1
-     * artifacts carry no kind; those rows are all scheduler rows.
-     */
-    std::string kind;
-    std::string simTicks;
-    std::string pollingSec;
-    std::string eventSec;
-    std::string speedup;
-};
-
-/**
- * Pull the per-workload timings out of a perf_core BENCH_core.json.
- * Same tolerant scanning approach as parseFailuresJson: the
- * artifact's shape is fixed, one object per workload.
- */
-std::vector<BenchEntry>
-parseBenchJson(const std::string &doc)
-{
-    std::vector<BenchEntry> out;
-    auto valueAfter = [&](std::size_t from, const char *key,
-                          std::size_t end) -> std::string {
-        const std::string k = std::string("\"") + key + "\": ";
-        std::size_t p = doc.find(k, from);
-        if (p == std::string::npos || p >= end)
-            return "";
-        p += k.size();
-        if (p < doc.size() && doc[p] == '"') {
-            std::string v;
-            for (std::size_t i = p + 1;
-                 i < doc.size() && doc[i] != '"'; ++i)
-                v.push_back(doc[i]);
-            return v;
-        }
-        std::string v;
-        while (p < doc.size() &&
-               (std::isdigit(static_cast<unsigned char>(doc[p])) ||
-                doc[p] == '.' || doc[p] == '-' || doc[p] == '+' ||
-                doc[p] == 'e'))
-            v.push_back(doc[p++]);
-        return v;
-    };
-    std::size_t pos = 0;
-    for (;;) {
-        std::size_t p = doc.find("{\"label\":", pos);
-        if (p == std::string::npos)
-            break;
-        std::size_t end = doc.find('}', p);
-        if (end == std::string::npos)
-            end = doc.size();
-        BenchEntry e;
-        e.label = valueAfter(p, "label", end);
-        e.kind = valueAfter(p, "kind", end);
-        if (e.kind.empty())
-            e.kind = "scheduler"; // schema-1 rows
-        e.simTicks = valueAfter(p, "simTicks", end);
-        e.pollingSec = valueAfter(p, "pollingSec", end);
-        e.eventSec = valueAfter(p, "eventSec", end);
-        e.speedup = valueAfter(p, "speedup", end);
-        out.push_back(std::move(e));
-        pos = end;
-    }
-    return out;
-}
-
-/** Print one kind's rows with its column vocabulary. */
-void
-printBenchTable(const std::vector<BenchEntry> &entries,
-                const std::string &kind, const char *baseCol,
-                const char *fastCol)
-{
-    std::size_t wLabel = 8;
-    std::size_t count = 0;
-    for (const auto &e : entries) {
-        if (e.kind != kind)
-            continue;
-        wLabel = std::max(wLabel, e.label.size());
-        ++count;
-    }
-    if (!count)
-        return;
-    std::printf("%-*s %12s %12s %12s %8s\n",
-                static_cast<int>(wLabel), "workload", "sim ticks",
-                baseCol, fastCol, "speedup");
-    double worst = 0;
-    bool first = true;
-    for (const auto &e : entries) {
-        if (e.kind != kind)
-            continue;
-        std::printf("%-*s %12s %12s %12s %7sx\n",
-                    static_cast<int>(wLabel), e.label.c_str(),
-                    e.simTicks.c_str(), e.pollingSec.c_str(),
-                    e.eventSec.c_str(), e.speedup.c_str());
-        const double s = std::atof(e.speedup.c_str());
-        if (first || s < worst) {
-            worst = s;
-            first = false;
-        }
-    }
-    std::printf("%zu %s workloads, worst speedup %.2fx\n\n", count,
-                kind.c_str(), worst);
-}
-
-/**
- * Print a perf_core artifact: the scheduler-speedup table, then the
- * Sm::tick microbench table when the artifact carries smtick rows
- * (bench schema 2+).
- */
-void
-printBench(const std::vector<BenchEntry> &entries)
-{
-    printBenchTable(entries, "scheduler", "polling s", "event s");
-    printBenchTable(entries, "smtick", "reference s", "soa s");
 }
 
 /** One device slice of a sharded run, from the dev<k>_* columns. */
@@ -534,61 +408,6 @@ selfTest()
     expect(checkConsistency(rows, parseFailuresJson(bad)) == 3,
            "inconsistent artifacts counted");
 
-    // perf_core artifact parsing (--bench mode).
-    const std::string bench =
-        "{\n  \"bench\": \"perf_core\",\n  \"schema\": 1,\n"
-        "  \"scale\": 0.05,\n  \"workloads\": [\n"
-        "    {\"label\": \"BFS/GTX980/delaunay/gpu-only@0.02\", "
-        "\"simTicks\": 1938563, \"pollingSec\": 0.117000, "
-        "\"eventSec\": 0.051000, \"speedup\": 2.294, "
-        "\"eventTicksPerSec\": 38011039},\n"
-        "    {\"label\": \"PR/GTX980/cond/scu-basic@0.05\", "
-        "\"simTicks\": 107282, \"pollingSec\": 0.020000, "
-        "\"eventSec\": 0.018000, \"speedup\": 1.111, "
-        "\"eventTicksPerSec\": 5960111}\n  ]\n}\n";
-    auto entries = parseBenchJson(bench);
-    expect(entries.size() == 2, "two bench workloads");
-    expect(entries[0].label == "BFS/GTX980/delaunay/gpu-only@0.02",
-           "bench label surfaced");
-    expect(entries[0].simTicks == "1938563",
-           "bench simTicks surfaced");
-    expect(entries[1].speedup == "1.111", "bench speedup surfaced");
-    expect(entries[1].eventSec == "0.018000",
-           "bench eventSec surfaced");
-    expect(parseBenchJson("{}").empty(),
-           "workload-free bench JSON parses empty");
-    expect(entries[0].kind == "scheduler" &&
-               entries[1].kind == "scheduler",
-           "schema-1 rows default to the scheduler kind");
-
-    // Schema-2 artifacts tag each row with a kind; smtick rows reuse
-    // the pollingSec/eventSec keys for reference/soa seconds.
-    const std::string bench2 =
-        "{\n  \"bench\": \"perf_core\",\n  \"schema\": 2,\n"
-        "  \"scale\": 0.05,\n  \"workloads\": [\n"
-        "    {\"label\": \"BFS/GTX980/cond/gpu-only@0.05\", "
-        "\"kind\": \"scheduler\", "
-        "\"simTicks\": 513203, \"pollingSec\": 0.117000, "
-        "\"eventSec\": 0.051000, \"speedup\": 1.725, "
-        "\"eventTicksPerSec\": 38011039},\n"
-        "    {\"label\": \"smtick/allbusy-compute@16384w\", "
-        "\"kind\": \"smtick\", "
-        "\"simTicks\": 175233, \"pollingSec\": 0.039000, "
-        "\"eventSec\": 0.023000, \"speedup\": 1.691, "
-        "\"eventTicksPerSec\": 7618826}\n  ]\n}\n";
-    auto entries2 = parseBenchJson(bench2);
-    expect(entries2.size() == 2, "two schema-2 bench rows");
-    expect(entries2[0].kind == "scheduler",
-           "schema-2 scheduler kind surfaced");
-    expect(entries2[1].kind == "smtick",
-           "schema-2 smtick kind surfaced");
-    expect(entries2[1].label == "smtick/allbusy-compute@16384w",
-           "smtick label surfaced");
-    expect(entries2[1].pollingSec == "0.039000",
-           "smtick reference seconds surfaced");
-    expect(entries2[1].eventSec == "0.023000",
-           "smtick soa seconds surfaced");
-
     // Per-device CSV columns (--by-device mode). The second row is a
     // single-device run whose dev<k>_* cells were written empty.
     const std::string devCsv =
@@ -626,9 +445,8 @@ usage(const char *argv0)
                  "usage: %s [--check] <artifact.csv> "
                  "[<artifact.failures.json>]\n"
                  "       %s --by-device <artifact.csv>\n"
-                 "       %s --bench <BENCH_core.json>\n"
                  "       %s --self-test\n",
-                 argv0, argv0, argv0, argv0);
+                 argv0, argv0, argv0);
     return 2;
 }
 
@@ -638,7 +456,6 @@ int
 main(int argc, char **argv)
 {
     bool check = false;
-    bool benchMode = false;
     bool byDevice = false;
     std::vector<std::string> paths;
     for (int i = 1; i < argc; ++i) {
@@ -647,8 +464,6 @@ main(int argc, char **argv)
             return selfTest();
         if (a == "--check")
             check = true;
-        else if (a == "--bench")
-            benchMode = true;
         else if (a == "--by-device")
             byDevice = true;
         else if (!a.empty() && a[0] == '-')
@@ -657,28 +472,8 @@ main(int argc, char **argv)
             paths.push_back(a);
     }
     if (paths.empty() || paths.size() > 2 ||
-        (benchMode && (check || byDevice || paths.size() != 1)) ||
         (byDevice && (check || paths.size() != 1)))
         return usage(argv[0]);
-
-    if (benchMode) {
-        std::ifstream bs(paths[0]);
-        if (!bs) {
-            std::fprintf(stderr, "cannot read '%s'\n",
-                         paths[0].c_str());
-            return 1;
-        }
-        std::ostringstream doc;
-        doc << bs.rdbuf();
-        const auto entries = parseBenchJson(doc.str());
-        if (entries.empty()) {
-            std::fprintf(stderr, "'%s' holds no workloads\n",
-                         paths[0].c_str());
-            return 1;
-        }
-        printBench(entries);
-        return 0;
-    }
 
     std::ifstream is(paths[0]);
     if (!is) {

@@ -35,13 +35,13 @@
 namespace scusim::bench
 {
 
-/** Dataset scale for this process (SCUSIM_SCALE env override). */
+/** Dataset scale for this process: SCUSIM_SCALE, else @p def. */
 inline double
-benchScale()
+benchScale(double def = 0.05)
 {
     if (const char *s = std::getenv("SCUSIM_SCALE"))
         return std::atof(s);
-    return 0.05;
+    return def;
 }
 
 /** Names of the six benchmark datasets, Table 5 order. */
@@ -111,21 +111,14 @@ parseBenchArgs(int argc, char **argv)
  * from the environment, per-run trace artifacts next to the bench's
  * own artifacts.
  */
-// GCC 12 false positive (GCC bug 105329): -Wrestrict inside the
-// std::string memcpy inlined from the traceDir assignments.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wrestrict"
 inline harness::ExecutorOptions
 benchExecutorOptions()
 {
     harness::ExecutorOptions opts;
     opts.trace = trace::TraceConfig::fromEnv();
-    opts.traceDir = ".";
-    if (const char *d = std::getenv("SCUSIM_ARTIFACT_DIR"))
-        opts.traceDir = d;
+    opts.traceDir = harness::artifactDir();
     return opts;
 }
-#pragma GCC diagnostic pop
 
 /**
  * Executor options for a plan that carries @p faults. An armed fault

@@ -17,7 +17,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -43,9 +42,7 @@ main(int argc, char **argv)
         return 2;
     }
 
-    double scale = 0.03;
-    if (const char *s = std::getenv("SCUSIM_SCALE"))
-        scale = std::atof(s);
+    double scale = bench::benchScale(0.03);
     std::vector<std::string> systems = bench::benchSystems();
     std::vector<unsigned> deviceCounts{1, 2, 4};
     if (smoke) {
@@ -128,10 +125,7 @@ main(int argc, char **argv)
     // dev<k>_* per-device columns `trend --by-device` renders.
     writeArtifact("perf_shard", res, {&table});
 
-    std::string dir = ".";
-    if (const char *d = std::getenv("SCUSIM_ARTIFACT_DIR"))
-        dir = d;
-    const std::string path = dir + "/BENCH_shard.json";
+    const std::string path = artifactDir() + "/BENCH_shard.json";
     std::ofstream out(path, std::ios::trunc);
     out << json.str();
     if (!out.good()) {

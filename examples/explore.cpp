@@ -7,9 +7,7 @@
  *
  * Usage:
  *   explore [--dataset ca|cond|delaunay|human|kron|msdoor]
- *           [--file path.el|.gr|.mtx|.scug]  (overrides --dataset;
- *            with SCUSIM_STORE_DIR set, text formats are packed into
- *            the store once and mmap'd on every later run)
+ *           [--file path.el|.gr|.mtx]  (overrides --dataset)
  *           [--scale 0.25] [--system GTX980|TX1]
  *           [--prim bfs|sssp|pr] [--mode gpu|basic|enhanced|all]
  *           [--seed N] [--stats]   (--stats dumps the component
@@ -20,7 +18,6 @@
 
 #include <cstdio>
 #include <cstring>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -28,8 +25,6 @@
 #include "graph/datasets.hh"
 #include "graph/loader.hh"
 #include "harness/runner.hh"
-#include "store/mapped_graph.hh"
-#include "store/store.hh"
 
 using namespace scusim;
 
@@ -107,23 +102,10 @@ main(int argc, char **argv)
         fatal("unknown primitive '%s'", prim.c_str());
 
     graph::CsrGraph own;
-    std::shared_ptr<store::MappedGraph> mapped;
     const graph::CsrGraph *g = nullptr;
     if (!file.empty()) {
-        if (file.ends_with(".scug")) {
-            mapped = store::openStoreFile(file);
-            fatal_if(!mapped, "cannot open store file '%s'",
-                     file.c_str());
-        } else {
-            // Null when SCUSIM_STORE_DIR is unset: plain load.
-            mapped = store::openGraphFile(file);
-        }
-        if (mapped) {
-            g = &mapped->graph();
-        } else {
-            own = graph::loadGraphFile(file);
-            g = &own;
-        }
+        own = graph::loadGraphFile(file);
+        g = &own;
     } else {
         g = &harness::cachedDataset(dataset, scale, seed);
     }

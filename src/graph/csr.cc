@@ -65,28 +65,6 @@ CsrGraph::fromCsrArrays(NodeId n, std::vector<EdgeId> offsets,
 }
 
 CsrGraph
-CsrGraph::viewing(NodeId n, std::span<const EdgeId> offsets,
-                  std::span<const NodeId> dst,
-                  std::span<const Weight> w, RowPager *pager)
-{
-    CsrGraph g;
-    g.n = n;
-    g.extOffsets = offsets;
-    g.extDst = dst;
-    g.extW = w;
-    g.borrowed = true;
-    g.pager = pager;
-    fatal_if(offsets.size() != static_cast<std::size_t>(n) + 1,
-             "viewing: offset span must hold n+1 entries "
-             "(%zu for %u nodes)",
-             offsets.size(), n);
-    fatal_if(dst.size() != w.size(),
-             "viewing: edge/weight span size mismatch (%zu vs %zu)",
-             dst.size(), w.size());
-    return g;
-}
-
-CsrGraph
 CsrGraph::transpose() const
 {
     const std::span<const EdgeId> off = adjacencyOffsets();

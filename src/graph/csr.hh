@@ -5,15 +5,9 @@
  * give each node's slice of the edge (destination) array, and a
  * parallel weight array carries edge costs.
  *
- * A CsrGraph either owns its arrays (built from an edge list or from
- * pre-assembled vectors) or *borrows* them — spans into memory owned
- * by someone else, e.g. the mmap'd sections of an on-disk store file
- * (store/mapped_graph.hh). Borrowed graphs are plain aliasing views:
- * copying one copies the spans, and the backing buffer must outlive
- * every view. An optional RowPager hook lets the buffer owner watch
- * row accesses (the out-of-core windowed loader advances its
- * residency window through it); it never changes what an accessor
- * returns, so paged and in-memory traversals are byte-identical.
+ * A CsrGraph owns its three arrays, built from an edge list or from
+ * pre-assembled vectors; every dataset, fragment and loaded file is
+ * one in-memory graph.
  */
 
 #ifndef SCUSIM_GRAPH_CSR_HH
@@ -50,23 +44,6 @@ struct EdgeList
 };
 
 /**
- * Residency observer for borrowed CSR arrays. neighbors()/
- * edgeWeights() report the edge range of every row they hand out
- * *before* returning it, so an out-of-core backing store can make
- * the range resident (and trim what the scan left behind). The hook
- * is advisory: it must not move or mutate the arrays — returned
- * spans stay valid for the lifetime of the mapping.
- */
-class RowPager
-{
-  public:
-    virtual ~RowPager() = default;
-
-    /** Edge range [begin, end) of a row about to be handed out. */
-    virtual void noteRow(EdgeId begin, EdgeId end) = 0;
-};
-
-/**
  * Immutable CSR graph. Construction sorts edges by (src, dst) and can
  * optionally drop exact duplicate (src, dst) pairs keeping the
  * minimum weight.
@@ -95,79 +72,35 @@ class CsrGraph
                                   std::vector<NodeId> dst,
                                   std::vector<Weight> w);
 
-    /**
-     * Borrow pre-assembled CSR arrays owned by someone else (the
-     * store's mmap'd sections). No bytes are copied; the caller
-     * guarantees the arrays outlive every view and already satisfy
-     * validate(). @p pager, when non-null, observes row accesses
-     * (out-of-core windowing) and must outlive the view too.
-     */
-    static CsrGraph viewing(NodeId n, std::span<const EdgeId> offsets,
-                            std::span<const NodeId> dst,
-                            std::span<const Weight> w,
-                            RowPager *pager = nullptr);
-
     NodeId numNodes() const { return n; }
-    EdgeId
-    numEdges() const
-    {
-        return static_cast<EdgeId>(borrowed ? extDst.size()
-                                            : dst.size());
-    }
+    EdgeId numEdges() const { return static_cast<EdgeId>(dst.size()); }
 
     /** Out-degree of @p u. */
-    EdgeId
-    degree(NodeId u) const
-    {
-        const EdgeId *o = offPtr();
-        return o[u + 1] - o[u];
-    }
+    EdgeId degree(NodeId u) const { return offsets[u + 1] - offsets[u]; }
 
     /** First edge index of @p u in the edge array. */
-    EdgeId edgeBegin(NodeId u) const { return offPtr()[u]; }
-    EdgeId edgeEnd(NodeId u) const { return offPtr()[u + 1]; }
+    EdgeId edgeBegin(NodeId u) const { return offsets[u]; }
+    EdgeId edgeEnd(NodeId u) const { return offsets[u + 1]; }
 
     /** Neighbors of @p u. */
     std::span<const NodeId>
     neighbors(NodeId u) const
     {
-        const EdgeId *o = offPtr();
-        const EdgeId b = o[u], e = o[u + 1];
-        if (pager)
-            pager->noteRow(b, e);
-        return {dstPtr() + b, static_cast<std::size_t>(e - b)};
+        const EdgeId b = offsets[u], e = offsets[u + 1];
+        return {dst.data() + b, static_cast<std::size_t>(e - b)};
     }
 
     /** Edge weights of @p u, parallel to neighbors(u). */
     std::span<const Weight>
     edgeWeights(NodeId u) const
     {
-        const EdgeId *o = offPtr();
-        const EdgeId b = o[u], e = o[u + 1];
-        if (pager)
-            pager->noteRow(b, e);
-        return {wPtr() + b, static_cast<std::size_t>(e - b)};
+        const EdgeId b = offsets[u], e = offsets[u + 1];
+        return {w.data() + b, static_cast<std::size_t>(e - b)};
     }
 
-    std::span<const EdgeId>
-    adjacencyOffsets() const
-    {
-        return borrowed ? extOffsets
-                        : std::span<const EdgeId>(offsets);
-    }
-    std::span<const NodeId>
-    edgeArray() const
-    {
-        return borrowed ? extDst : std::span<const NodeId>(dst);
-    }
-    std::span<const Weight>
-    weightArray() const
-    {
-        return borrowed ? extW : std::span<const Weight>(w);
-    }
-
-    /** Whether this graph borrows externally owned arrays. */
-    bool isView() const { return borrowed; }
+    std::span<const EdgeId> adjacencyOffsets() const { return offsets; }
+    std::span<const NodeId> edgeArray() const { return dst; }
+    std::span<const Weight> weightArray() const { return w; }
 
     /** Graph with every edge reversed (same weights). */
     CsrGraph transpose() const;
@@ -188,31 +121,10 @@ class CsrGraph
     void validate() const;
 
   private:
-    const EdgeId *
-    offPtr() const
-    {
-        return borrowed ? extOffsets.data() : offsets.data();
-    }
-    const NodeId *
-    dstPtr() const
-    {
-        return borrowed ? extDst.data() : dst.data();
-    }
-    const Weight *
-    wPtr() const
-    {
-        return borrowed ? extW.data() : w.data();
-    }
-
     NodeId n = 0;
-    std::vector<EdgeId> offsets; ///< n+1 adjacency offsets (owned)
-    std::vector<NodeId> dst;     ///< edge destinations (owned)
-    std::vector<Weight> w;       ///< edge weights (owned)
-    std::span<const EdgeId> extOffsets; ///< borrowed offsets
-    std::span<const NodeId> extDst;     ///< borrowed destinations
-    std::span<const Weight> extW;       ///< borrowed weights
-    bool borrowed = false;
-    RowPager *pager = nullptr; ///< residency observer (views only)
+    std::vector<EdgeId> offsets; ///< n+1 adjacency offsets
+    std::vector<NodeId> dst;     ///< edge destinations
+    std::vector<Weight> w;       ///< edge weights
 };
 
 /** The 7-node reference graph of Figure 2a, used in tests and docs. */

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <numeric>
 
+#include "common/hash.hh"
 #include "common/logging.hh"
 
 namespace scusim::graph
@@ -114,13 +115,14 @@ GraphPartition::build(const CsrGraph &g, unsigned numDevices)
 namespace
 {
 
+/** Fold @p v's 8 bytes, little-endian on every host, into @p h. */
 void
-fnv1a(std::uint64_t &h, std::uint64_t v)
+fold(std::uint64_t &h, std::uint64_t v)
 {
-    for (int i = 0; i < 8; ++i) {
-        h ^= (v >> (8 * i)) & 0xff;
-        h *= 0x100000001b3ull;
-    }
+    unsigned char bytes[8];
+    for (int i = 0; i < 8; ++i)
+        bytes[i] = static_cast<unsigned char>(v >> (8 * i));
+    h = fnv1a(bytes, sizeof bytes, h);
 }
 
 } // namespace
@@ -128,22 +130,22 @@ fnv1a(std::uint64_t &h, std::uint64_t v)
 std::uint64_t
 GraphPartition::fingerprint() const
 {
-    std::uint64_t h = 0xcbf29ce484222325ull;
-    fnv1a(h, n);
-    fnv1a(h, frags.size());
+    std::uint64_t h = fnvOffsetBasis;
+    fold(h, n);
+    fold(h, frags.size());
     for (const DeviceId d : ownerArr)
-        fnv1a(h, d);
+        fold(h, d);
     for (const Fragment &f : frags) {
-        fnv1a(h, f.numInner);
-        fnv1a(h, f.numOuter);
+        fold(h, f.numInner);
+        fold(h, f.numOuter);
         for (const EdgeId o : f.csr.adjacencyOffsets())
-            fnv1a(h, o);
+            fold(h, o);
         for (const NodeId v : f.csr.edgeArray())
-            fnv1a(h, v);
+            fold(h, v);
         for (const Weight wt : f.csr.weightArray())
-            fnv1a(h, wt);
+            fold(h, wt);
         for (const NodeId v : f.toGlobal)
-            fnv1a(h, v);
+            fold(h, v);
     }
     return h;
 }

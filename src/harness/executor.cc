@@ -264,11 +264,9 @@ runPlan(const std::vector<PlannedRun> &runs,
                     continue;
                 }
             }
-            // Graph-backed runs consult the disk cache only when
-            // their key carries a durable fingerprint; pointer-keyed
-            // keys are process-local and can never match on disk.
-            if (!cacheDir.empty() &&
-                (!runs[i].graph || !runs[i].graphFp.empty())) {
+            // Graph-backed runs never consult the disk cache: their
+            // pointer keys are process-local and can never match.
+            if (!cacheDir.empty() && !runs[i].graph) {
                 RunRecord hit;
                 if (loadCachedRun(cacheDir, runs[i].key, hit) &&
                     !(hit.failure &&

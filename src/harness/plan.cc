@@ -42,8 +42,7 @@ appendScu(std::ostringstream &os, const scu::ScuParams &p)
 } // namespace
 
 std::string
-runKey(const RunConfig &cfg, const graph::CsrGraph *graph,
-       const std::string &graphFp)
+runKey(const RunConfig &cfg, const graph::CsrGraph *graph)
 {
     std::ostringstream os;
     os << cfg.systemName << "|" << to_string(cfg.primitive) << "|"
@@ -78,14 +77,10 @@ runKey(const RunConfig &cfg, const graph::CsrGraph *graph,
         os << "|dev=" << cfg.deviceCount;
     else if (cfg.sharded)
         os << "|sharded";
-    // A content fingerprint is a durable graph identity — the same
-    // bytes key the same run in every process, so these runs are
-    // disk-cacheable. A bare pointer only means "some ad-hoc graph in
-    // this process"; such keys must never leave the process, which is
-    // why runCacheStorable rejects them.
-    if (!graphFp.empty())
-        os << "|fp=" << graphFp;
-    else if (graph)
+    // A bare pointer only means "some ad-hoc graph in this process";
+    // such keys must never leave the process, which is why
+    // runCacheStorable rejects them.
+    if (graph)
         os << "|graph=" << static_cast<const void *>(graph);
     return os.str();
 }
@@ -192,11 +187,9 @@ ExperimentPlan::faults(sim::FaultPlan f)
 }
 
 ExperimentPlan &
-ExperimentPlan::graph(const graph::CsrGraph *g, std::string name,
-                      std::string fp)
+ExperimentPlan::graph(const graph::CsrGraph *g, std::string name)
 {
     graphPtr = g;
-    graphFpValue = std::move(fp);
     datasetAxis = {std::move(name)};
     return *this;
 }
@@ -218,8 +211,7 @@ ExperimentPlan::add(RunConfig cfg, std::string label)
     PlannedRun r;
     r.cfg = std::move(cfg);
     r.graph = graphPtr;
-    r.graphFp = graphFpValue;
-    r.key = runKey(r.cfg, r.graph, r.graphFp);
+    r.key = runKey(r.cfg, r.graph);
     r.label = label.empty() ? runLabel(r.cfg) : std::move(label);
     extras.push_back(std::move(r));
     return *this;
@@ -247,7 +239,7 @@ ExperimentPlan::expand() const
         }
         PlannedRun r = e;
         r.cfg.faults = faultsValue;
-        r.key = runKey(r.cfg, r.graph, r.graphFp);
+        r.key = runKey(r.cfg, r.graph);
         push(std::move(r));
     };
 
@@ -289,8 +281,7 @@ ExperimentPlan::expand() const
                             PlannedRun r;
                             r.cfg = std::move(cfg);
                             r.graph = graphPtr;
-                            r.graphFp = graphFpValue;
-                            r.key = runKey(r.cfg, r.graph, r.graphFp);
+                            r.key = runKey(r.cfg, r.graph);
                             r.label = runLabel(r.cfg);
                             if (!ablateVariants.empty() &&
                                 r.cfg.mode != ScuMode::GpuOnly)

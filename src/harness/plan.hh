@@ -36,26 +36,20 @@ struct PlannedRun
     /** Human-readable "PRIM/system/dataset/mode[/axis=variant]". */
     std::string label;
     RunConfig cfg;
-    /** Caller-owned pre-built graph; null = synthesize cfg.dataset. */
-    const graph::CsrGraph *graph = nullptr;
     /**
-     * Durable content identity of *graph (the dataset store's
-     * 16-hex-digit FNV-1a fingerprint). When set, the run key embeds
-     * it instead of the raw pointer, which makes graph-backed runs
-     * meaningful across processes — and therefore memo- and
-     * disk-cache-eligible. Empty for pointer-keyed ad-hoc graphs.
+     * Caller-owned pre-built graph; null = synthesize cfg.dataset.
+     * The run key embeds the pointer, so such runs are memoized in
+     * this process only and never reach the disk cache.
      */
-    std::string graphFp;
+    const graph::CsrGraph *graph = nullptr;
 };
 
 /**
- * Canonical identity of @p cfg (see PlannedRun::key). A non-empty
- * @p graphFp keys the graph by durable content fingerprint; a bare
- * @p graph pointer is the process-local fallback.
+ * Canonical identity of @p cfg (see PlannedRun::key). A non-null
+ * @p graph is keyed by its address, a process-local identity.
  */
 std::string runKey(const RunConfig &cfg,
-                   const graph::CsrGraph *graph = nullptr,
-                   const std::string &graphFp = "");
+                   const graph::CsrGraph *graph = nullptr);
 
 /** Default label: "PRIM/system/dataset/mode". */
 std::string runLabel(const RunConfig &cfg);
@@ -112,12 +106,9 @@ class ExperimentPlan
     /**
      * Run every cell on @p g (caller-owned, must outlive execution)
      * instead of synthesizing a dataset; @p name becomes the
-     * dataset axis label. A non-empty @p fp (the dataset store's
-     * content fingerprint, 16 hex digits) gives the runs a durable
-     * identity instead of the pointer, making them cacheable.
+     * dataset axis label.
      */
-    ExperimentPlan &graph(const graph::CsrGraph *g, std::string name,
-                          std::string fp = "");
+    ExperimentPlan &graph(const graph::CsrGraph *g, std::string name);
 
     /**
      * Ablation axis: each variant replaces the preset ScuParams of
@@ -159,7 +150,6 @@ class ExperimentPlan
     alg::AlgOptions algValue;
     sim::FaultPlan faultsValue;
     const graph::CsrGraph *graphPtr = nullptr;
-    std::string graphFpValue;
     std::string ablateAxis;
     std::vector<std::pair<std::string, scu::ScuParams>>
         ablateVariants;

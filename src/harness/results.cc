@@ -374,13 +374,18 @@ writeFailureReport(std::ostream &os, const PlanResults &res)
     os << "\n]}\n";
 }
 
+std::string
+artifactDir()
+{
+    const char *d = std::getenv("SCUSIM_ARTIFACT_DIR");
+    return d ? std::string(d) : std::string(".");
+}
+
 void
 writeArtifact(const std::string &name, const PlanResults &res,
               const std::vector<const Table *> &tables)
 {
-    std::string dir = ".";
-    if (const char *d = std::getenv("SCUSIM_ARTIFACT_DIR"))
-        dir = d;
+    const std::string dir = artifactDir();
     const std::string jsonPath = dir + "/" + name + ".json";
     const std::string csvPath = dir + "/" + name + ".csv";
 

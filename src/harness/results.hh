@@ -61,10 +61,13 @@ void writeRunsCsv(std::ostream &os, const PlanResults &res);
  */
 void writeFailureReport(std::ostream &os, const PlanResults &res);
 
+/** Where bench artifacts land: $SCUSIM_ARTIFACT_DIR, default ".". */
+std::string artifactDir();
+
 /**
  * Emit the artifact of one bench binary: <name>.json holding the
  * run records and the printed tables, plus <name>.csv with the run
- * records, under $SCUSIM_ARTIFACT_DIR (default "."). When any run
+ * records, under artifactDir(). When any run
  * failed, also <name>.failures.json with the failure report. Prints
  * the paths written.
  */

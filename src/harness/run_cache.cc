@@ -11,6 +11,7 @@
 
 #include <unistd.h>
 
+#include "common/hash.hh"
 #include "common/logging.hh"
 
 namespace scusim::harness
@@ -33,15 +34,8 @@ enum class DecodeOutcome
 std::uint64_t
 keyHash(const std::string &key)
 {
-    std::uint64_t h = 0xCBF29CE484222325ull;
-    auto mix = [&h](unsigned char c) {
-        h ^= c;
-        h *= 0x100000001B3ull;
-    };
-    mix(static_cast<unsigned char>(runCacheSchemaVersion));
-    for (char c : key)
-        mix(static_cast<unsigned char>(c));
-    return h;
+    const auto schema = static_cast<unsigned char>(runCacheSchemaVersion);
+    return fnv1a(key.data(), key.size(), fnv1a(&schema, 1));
 }
 
 /** Length-prefixed string field: "name <len>\n<raw bytes>\n". */
@@ -163,11 +157,10 @@ runCachePath(const std::string &dir, const std::string &key)
 bool
 runCacheStorable(const RunRecord &rec)
 {
-    // A graph-backed run is storable only when its key embeds the
-    // graph's durable content fingerprint; a raw pointer key is
+    // A graph-backed run is keyed by a raw pointer, which is
     // meaningless in another process. Transient failures depend on
     // host load, not the run (same rule as the in-process memo).
-    if (rec.run.graph && rec.run.graphFp.empty())
+    if (rec.run.graph)
         return false;
     if (rec.failure && isTransientFailure(*rec.failure))
         return false;

@@ -52,12 +52,11 @@ std::string runCachePath(const std::string &dir,
                          const std::string &key);
 
 /**
- * True when @p rec may be stored at all. Graph-backed runs are
- * storable only when keyed by a durable content fingerprint
- * (PlannedRun::graphFp, from the dataset store); a raw-pointer key
- * is meaningless across processes and is never written. Transient
- * failures (Timeout) depend on host load, not the run (mirrors the
- * in-process memo policy), so they are never written either.
+ * True when @p rec may be stored at all. Graph-backed runs are keyed
+ * by a raw pointer, which is meaningless across processes, so they
+ * are never written. Transient failures (Timeout) depend on host
+ * load, not the run (mirrors the in-process memo policy), so they
+ * are never written either.
  */
 bool runCacheStorable(const RunRecord &rec);
 

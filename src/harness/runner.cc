@@ -18,7 +18,6 @@
 #include "graph/datasets.hh"
 #include "graph/partition.hh"
 #include "stats/timeseries.hh"
-#include "store/store.hh"
 #include "trace/chrome_export.hh"
 
 namespace scusim::harness
@@ -50,11 +49,6 @@ cachedDataset(const std::string &name, double scale,
     {
         std::once_flag once;
         graph::CsrGraph g;
-        // Keeps the mmap (and its residency window) alive for as
-        // long as `g` — which borrows the mapped sections — can be
-        // handed out. Entries live for the process, so the mapping
-        // does too.
-        std::shared_ptr<store::MappedGraph> mapped;
     };
     static std::mutex m;
     static std::map<std::string, Entry> cache;
@@ -65,20 +59,8 @@ cachedDataset(const std::string &name, double scale,
         std::lock_guard<std::mutex> lock(m);
         e = &cache[key];
     }
-    std::call_once(e->once, [&] {
-        // Store-backed path: pack once under SCUSIM_STORE_DIR, then
-        // map the packed bytes read-only — the page cache shares them
-        // with every other process mapping the same file. Any store
-        // failure degrades (with a warning) to the in-memory build.
-        if (!store::storeDir().empty()) {
-            if (auto mg = store::openDataset(name, scale, seed)) {
-                e->mapped = std::move(mg);
-                e->g = e->mapped->graph();
-                return;
-            }
-        }
-        e->g = graph::makeDataset(name, scale, seed);
-    });
+    std::call_once(e->once,
+                   [&] { e->g = graph::makeDataset(name, scale, seed); });
     return e->g;
 }
 

@@ -19,8 +19,8 @@
 #include <string>
 #include <vector>
 
+#include "common/hash.hh"
 #include "harness/runner.hh"
-#include "store/format.hh"
 
 namespace scusim::golden
 {
@@ -92,7 +92,7 @@ runCell(const Cell &c)
     cfg.dumpStatsTo = &os;
     const harness::RunResult r = harness::runPrimitive(cfg);
     const std::string dump = os.str();
-    return {r.totalCycles, store::fnv1a(dump.data(), dump.size()),
+    return {r.totalCycles, fnv1a(dump.data(), dump.size()),
             r.validated};
 }
 

@@ -210,29 +210,38 @@ TEST(RunCache, StorabilityPolicy)
     graph::CsrGraph g;
     rec.run.graph = &g;
     EXPECT_FALSE(runCacheStorable(rec));
-    // ...unless the run is keyed by a durable content fingerprint
-    // (a store-backed graph): then the key means the same thing in
-    // every process and the record may be persisted.
-    rec.run.graphFp = "00000000cafef00d";
-    EXPECT_TRUE(runCacheStorable(rec));
 }
 
-TEST(RunCache, FingerprintKeyedGraphRunsRoundTripThroughDisk)
+TEST(RunCache, PointerKeyedGraphRunsNeverTouchDisk)
 {
-    CacheDirGuard cache("fpkeyed");
-    graph::CsrGraph g; // identity comes from the fp, not the graph
-    RunRecord rec = sampleRecord();
-    rec.run.graph = &g;
-    rec.run.graphFp = "0123456789abcdef";
-    rec.run.key = runKey(rec.run.cfg, &g, rec.run.graphFp);
-    ASSERT_NE(rec.run.key.find("|fp=0123456789abcdef"),
-              std::string::npos);
+    CacheDirGuard cache("ptrkeyed");
+    const graph::CsrGraph g = graph::referenceGraph();
+    const auto plan = ExperimentPlan()
+                          .systems({"TX1"})
+                          .primitives({Primitive::Bfs})
+                          .modes({ScuMode::GpuOnly})
+                          .graph(&g, "fig2a");
 
-    ASSERT_TRUE(storeCachedRun(cache.dir, rec));
-    RunRecord back;
-    back.run = rec.run;
-    EXPECT_TRUE(loadCachedRun(cache.dir, rec.run.key, back));
-    EXPECT_EQ(encodeRunRecord(back), encodeRunRecord(rec));
+    auto cold = runPlan(plan, {});
+    ASSERT_EQ(cold.failures(), 0u);
+    // Forget the memo so the second execution would consult the disk
+    // cache if pointer-keyed runs were allowed there.
+    clearRunMemo();
+    auto warm = runPlan(plan, {});
+    ASSERT_EQ(warm.failures(), 0u);
+    for (const auto *res : {&cold, &warm})
+        for (const auto &r : res->records()) {
+            EXPECT_NE(r.run.key.find("|graph="), std::string::npos);
+            EXPECT_FALSE(r.fromDiskCache) << r.run.label;
+        }
+    EXPECT_EQ(jsonOf(cold), jsonOf(warm));
+
+    std::size_t runFiles = 0;
+    if (std::filesystem::exists(cache.dir))
+        for (const auto &e :
+             std::filesystem::directory_iterator(cache.dir))
+            runFiles += e.path().extension() == ".run";
+    EXPECT_EQ(runFiles, 0u) << "a pointer-keyed run was written";
 }
 
 TEST(RunCache, SecondExecutionIsServedFromDiskByteIdentically)

@@ -24,13 +24,13 @@
 #include <string>
 
 #include "common/bits.hh"
+#include "common/hash.hh"
 #include "gpu/sm.hh"
 #include "mem/mem_system.hh"
 #include "sim/clock.hh"
 #include "sim/fault.hh"
 #include "sim/simulation.hh"
 #include "stats/stats.hh"
-#include "store/format.hh"
 
 using namespace scusim;
 using gpu::StreamingMultiprocessor;
@@ -155,12 +155,12 @@ struct Drive
     std::uint64_t serviced = 0; ///< ticks the SM was ticked
     std::uint64_t stalled = 0;  ///< of those, ticks a fault froze
     std::uint64_t longWaits = 0; ///< fast-forwards over > 4096 ticks
-    std::uint64_t digest = store::fnvOffsetBasis;
+    std::uint64_t digest = fnvOffsetBasis;
 
     void
     fold(std::uint64_t v)
     {
-        digest = store::fnv1a(&v, sizeof v, digest);
+        digest = fnv1a(&v, sizeof v, digest);
     }
 };
 
@@ -222,7 +222,7 @@ drive(const ParamTweak &tweak = {}, const sim::FaultPlan &fault = {})
         d.fold(v);
     const std::string dump = rig.dump();
     EXPECT_FALSE(dump.empty());
-    d.digest = store::fnv1a(dump.data(), dump.size(), d.digest);
+    d.digest = fnv1a(dump.data(), dump.size(), d.digest);
     return d;
 }
 

@@ -59,16 +59,15 @@ BfsRunner::prepare(std::size_t nf_n)
         counts[t] = gb.offsets[u + 1] - gb.offsets[u];
         indexes[t] = gb.offsets[u];
     }
-    gpuStreamKernel(
+    gpuWarpKernel(
         sys, "bfs_prepare", gpu::Phase::Processing, nf_n,
-        [&](std::uint64_t t, gpu::ThreadRecorder &rec) {
-            rec.load(nodeFrontier.addrOf(t), 4);
-            const NodeId u = nodeFrontier[t];
-            rec.load(gb.offsets.addrOf(u), 4);
-            rec.load(gb.offsets.addrOf(u + 1), 4);
-            rec.compute(14);
-            rec.store(counts.addrOf(t), 4);
-            rec.store(indexes.addrOf(t), 4);
+        [&](gpu::WarpBuilder &w) {
+            w.load(4, elemAt(nodeFrontier));
+            w.load(4, elemAt(gb.offsets, nodeFrontier));
+            w.load(4, elemAt(gb.offsets, nodeFrontier, 1));
+            w.compute(14);
+            w.store(4, elemAt(counts));
+            w.store(4, elemAt(indexes));
         },
         dev);
 }
@@ -109,18 +108,19 @@ BfsRunner::contractLookup(std::size_t ef_n, std::uint32_t level)
         visited[v] = 1;
 
     // Timing kernel: the status-lookup contraction of Section 2.1.2.
-    gpuStreamKernel(
+    const auto bitsOf = [&](std::uint64_t t) {
+        return visitedBits.addrOf(edgeFrontier[t] / 32);
+    };
+    gpuWarpKernel(
         sys, "bfs_contract_lookup", gpu::Phase::Processing, ef_n,
-        [&](std::uint64_t t, gpu::ThreadRecorder &rec) {
-            rec.load(edgeFrontier.addrOf(t), 4);
-            const NodeId v = edgeFrontier[t];
-            rec.load(visitedBits.addrOf(v / 32), 4);
-            rec.compute(24);
-            rec.store(flags.addrOf(t), 1);
-            if (flags[t]) {
-                rec.store(dist.addrOf(v), 4);
-                rec.store(visitedBits.addrOf(v / 32), 4);
-            }
+        [&](gpu::WarpBuilder &w) {
+            w.load(4, elemAt(edgeFrontier));
+            w.load(4, bitsOf);
+            w.compute(24);
+            w.store(1, elemAt(flags));
+            w.keepIf([&](std::uint64_t t) { return flags[t] != 0; });
+            w.store(4, elemAt(dist, edgeFrontier));
+            w.store(4, bitsOf);
         },
         dev);
 }
@@ -141,13 +141,15 @@ BfsRunner::beginRun(const AlgOptions &opt)
     // streaming stores).
     std::fill(dist.host().begin(), dist.host().end(), infDist);
     std::fill(visited.begin(), visited.end(), 0);
-    gpuStreamKernel(
+    gpuWarpKernel(
         sys, "bfs_init", gpu::Phase::Processing, n,
-        [&](std::uint64_t t, gpu::ThreadRecorder &rec) {
-            rec.compute(2);
-            rec.store(dist.addrOf(t), 4);
-            if (t % 32 == 0)
-                rec.store(visitedBits.addrOf(t / 32), 4);
+        [&](gpu::WarpBuilder &w) {
+            w.compute(2);
+            w.store(4, elemAt(dist));
+            w.keepIf([](std::uint64_t t) { return t % 32 == 0; });
+            w.store(4, [&](std::uint64_t t) {
+                return visitedBits.addrOf(t / 32);
+            });
         },
         dev);
 
@@ -187,11 +189,11 @@ BfsRunner::runLevel(std::uint32_t level, AlgMetrics &m,
     std::size_t ef_n = 0;
     if (!use_scu) {
         ExpandOutput out{
-            &edgeFrontier,
+            &edgeFrontier, 1,
             [&](std::size_t i, std::uint32_t j,
-                gpu::ThreadRecorder &rec) -> std::uint32_t {
+                Addr *addrs) -> std::uint32_t {
                 const std::uint32_t e = indexes[i] + j;
-                rec.load(gb.edges.addrOf(e), 4);
+                addrs[0] = gb.edges.addrOf(e);
                 return gb.edges[e];
             }};
         ef_n = gpuExpand(sys, counts, nf_n, {&out, 1}, scratch,
@@ -293,12 +295,12 @@ BfsRunner::splitBoundary(std::vector<BoundaryMsg> &outbox)
 
     // Timing: one pass over the new frontier comparing each entry
     // against the inner-vertex bound, repacking survivors.
-    gpuStreamKernel(
+    gpuWarpKernel(
         sys, "bfs_boundary_split", gpu::Phase::Processing, old_n,
-        [&](std::uint64_t t, gpu::ThreadRecorder &rec) {
-            rec.load(nodeFrontier.addrOf(t), 4);
-            rec.compute(8);
-            rec.store(nodeFrontier.addrOf(t), 4);
+        [&](gpu::WarpBuilder &w) {
+            w.load(4, elemAt(nodeFrontier));
+            w.compute(8);
+            w.store(4, elemAt(nodeFrontier));
         },
         dev);
 }
@@ -328,15 +330,21 @@ BfsRunner::acceptRemote(std::span<const BoundaryMsg> msgs,
 
     // Timing: one thread per message — load it, probe the bitmask,
     // conditionally append to the frontier.
-    gpuStreamKernel(
+    const auto bitsOf = [&](std::uint64_t i) {
+        return visitedBits.addrOf(part->localOf(msgs[i].node) / 32);
+    };
+    gpuWarpKernel(
         sys, "bfs_inject_remote", gpu::Phase::Processing, msgs.size(),
-        [&](std::uint64_t i, gpu::ThreadRecorder &rec) {
-            rec.load(inbox.addrOf(i % inbox.size()), 8);
-            const NodeId l = part->localOf(msgs[i].node);
-            rec.load(visitedBits.addrOf(l / 32), 4);
-            rec.compute(12);
-            rec.store(dist.addrOf(l), 4);
-            rec.store(visitedBits.addrOf(l / 32), 4);
+        [&](gpu::WarpBuilder &w) {
+            w.load(8, [&](std::uint64_t i) {
+                return inbox.addrOf(i % inbox.size());
+            });
+            w.load(4, bitsOf);
+            w.compute(12);
+            w.store(4, [&](std::uint64_t i) {
+                return dist.addrOf(part->localOf(msgs[i].node));
+            });
+            w.store(4, bitsOf);
         },
         dev);
 }

@@ -42,13 +42,41 @@ struct CompactionScratch
     }
 };
 
-/** Launch a simple one-op-per-thread kernel. */
+/** Launch a kernel with a per-lane body (see gpu/kernel.hh). */
 gpu::KernelStats
 gpuStreamKernel(harness::System &sys, const std::string &name,
                 gpu::Phase phase, std::uint64_t threads,
                 std::function<void(std::uint64_t,
                                    gpu::ThreadRecorder &)> body,
                 DeviceId dev = 0);
+
+/** Launch a kernel with a warp-wide body (see gpu/kernel.hh). */
+gpu::KernelStats
+gpuWarpKernel(harness::System &sys, const std::string &name,
+              gpu::Phase phase, std::uint64_t threads,
+              std::function<void(gpu::WarpBuilder &)> body,
+              DeviceId dev = 0);
+
+/** WarpBuilder address functor: element tid of @p a. */
+template <typename T>
+auto
+elemAt(const mem::DeviceArray<T> &a)
+{
+    return [base = a.base()](std::uint64_t tid) -> Addr {
+        return base + tid * sizeof(T);
+    };
+}
+
+/** WarpBuilder address functor: element idx[tid] + @p off of @p a. */
+template <typename T>
+auto
+elemAt(const mem::DeviceArray<T> &a, const Elems &idx,
+       std::size_t off = 0)
+{
+    return [&a, &idx, off](std::uint64_t tid) -> Addr {
+        return a.addrOf(idx[tid] + off);
+    };
+}
 
 /** One input/output pair of a multi-stream compaction. */
 struct CompactStream
@@ -74,15 +102,30 @@ std::size_t gpuCompact(harness::System &sys,
 /** One output stream of a GPU expansion. */
 struct ExpandOutput
 {
+    /** Most loads one output element may cost. */
+    static constexpr unsigned maxLoads = 2;
+
     Elems *out;
+    /** 4-byte loads producing one element costs on the GPU. */
+    unsigned loads = 1;
     /**
      * Produce the value of output element (i, j) — input element i,
-     * offset j within its run — and record the loads that producing
-     * it costs on the GPU.
+     * offset j within its run — and write the simulated addresses of
+     * its `loads` loads, in issue order, to @p addrs.
      */
     std::function<std::uint32_t(std::size_t i, std::uint32_t j,
-                                gpu::ThreadRecorder &)> value;
+                                Addr *addrs)> value;
 };
+
+/**
+ * The gather kernel of gpuExpand over the exclusive scan @p scanned
+ * of n run lengths (scanned[n] threads): one thread per produced
+ * element, writing every output stream. The launch refers to
+ * @p scanned and @p outputs, which must outlive it.
+ */
+gpu::KernelLaunch expandGather(const Elems &scanned, std::size_t n,
+                               std::span<const ExpandOutput> outputs,
+                               const std::string &name);
 
 /**
  * GPU frontier expansion (Merrill): exclusive scan of @p counts, then

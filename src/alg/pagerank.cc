@@ -67,12 +67,12 @@ PageRankRunner::beginRun(const AlgOptions &opt)
         rankBits[u] = asBits(1.0f);
         newRankBits[u] = asBits(0.0f);
     }
-    gpuStreamKernel(
+    gpuWarpKernel(
         sys, "pr_init", gpu::Phase::Processing, n,
-        [&](std::uint64_t t, gpu::ThreadRecorder &rec) {
-            rec.compute(2);
-            rec.store(rankBits.addrOf(t), 4);
-            rec.store(newRankBits.addrOf(t), 4);
+        [&](gpu::WarpBuilder &w) {
+            w.compute(2);
+            w.store(4, elemAt(rankBits));
+            w.store(4, elemAt(newRankBits));
         },
         dev);
 }
@@ -96,16 +96,18 @@ PageRankRunner::iterate(AlgMetrics &m,
                          static_cast<float>(deg))
                 : asBits(0.0f);
     }
-    gpuStreamKernel(
+    gpuWarpKernel(
         sys, "pr_prepare", gpu::Phase::Processing, n,
-        [&](std::uint64_t t, gpu::ThreadRecorder &rec) {
-            rec.load(rankBits.addrOf(t), 4);
-            rec.load(gb.offsets.addrOf(t), 4);
-            rec.load(gb.offsets.addrOf(t + 1), 4);
-            rec.compute(16);
-            rec.store(contribBits.addrOf(t), 4);
-            rec.store(counts.addrOf(t), 4);
-            rec.store(indexes.addrOf(t), 4);
+        [&](gpu::WarpBuilder &w) {
+            w.load(4, elemAt(rankBits));
+            w.load(4, elemAt(gb.offsets));
+            w.load(4, [&](std::uint64_t t) {
+                return gb.offsets.addrOf(t + 1);
+            });
+            w.compute(16);
+            w.store(4, elemAt(contribBits));
+            w.store(4, elemAt(counts));
+            w.store(4, elemAt(indexes));
         },
         dev);
     m.rawExpanded += g.numEdges();
@@ -114,18 +116,18 @@ PageRankRunner::iterate(AlgMetrics &m,
     std::size_t ef_n = 0;
     if (!use_scu) {
         ExpandOutput oe{
-            &edgeFrontier,
+            &edgeFrontier, 1,
             [&](std::size_t i, std::uint32_t j,
-                gpu::ThreadRecorder &rec) -> std::uint32_t {
+                Addr *addrs) -> std::uint32_t {
                 const std::uint32_t e = indexes[i] + j;
-                rec.load(gb.edges.addrOf(e), 4);
+                addrs[0] = gb.edges.addrOf(e);
                 return gb.edges[e];
             }};
         ExpandOutput ow{
-            &weightFrontier,
+            &weightFrontier, 1,
             [&](std::size_t i, std::uint32_t,
-                gpu::ThreadRecorder &rec) -> std::uint32_t {
-                rec.load(contribBits.addrOf(i), 4);
+                Addr *addrs) -> std::uint32_t {
+                addrs[0] = contribBits.addrOf(i);
                 return contribBits[i];
             }};
         std::array<ExpandOutput, 2> outs{oe, ow};
@@ -154,13 +156,13 @@ PageRankRunner::iterate(AlgMetrics &m,
         newRankBits[v] = asBits(asFloat(newRankBits[v]) +
                                 asFloat(weightFrontier[t]));
     }
-    gpuStreamKernel(
+    gpuWarpKernel(
         sys, "pr_rank_update", gpu::Phase::Processing, ef_n,
-        [&](std::uint64_t t, gpu::ThreadRecorder &rec) {
-            rec.load(edgeFrontier.addrOf(t), 4);
-            rec.load(weightFrontier.addrOf(t), 4);
-            rec.compute(12);
-            rec.atomic(newRankBits.addrOf(edgeFrontier[t]), 4);
+        [&](gpu::WarpBuilder &w) {
+            w.load(4, elemAt(edgeFrontier));
+            w.load(4, elemAt(weightFrontier));
+            w.compute(12);
+            w.atomic(4, elemAt(newRankBits, edgeFrontier));
         },
         dev);
 
@@ -174,13 +176,16 @@ PageRankRunner::iterate(AlgMetrics &m,
                 newRankBits[l] = asBits(0.0f);
             }
         }
-        gpuStreamKernel(
+        gpuWarpKernel(
             sys, "pr_ghost_flush", gpu::Phase::Processing,
             frag->numOuter,
-            [&](std::uint64_t t, gpu::ThreadRecorder &rec) {
-                rec.load(newRankBits.addrOf(frag->numInner + t), 4);
-                rec.compute(6);
-                rec.store(newRankBits.addrOf(frag->numInner + t), 4);
+            [&](gpu::WarpBuilder &w) {
+                const auto ghost = [&](std::uint64_t t) {
+                    return newRankBits.addrOf(frag->numInner + t);
+                };
+                w.load(4, ghost);
+                w.compute(6);
+                w.store(4, ghost);
             },
             dev);
     }
@@ -201,13 +206,16 @@ PageRankRunner::acceptRemote(std::span<const BoundaryMsg> msgs)
         newRankBits[l] = asBits(asFloat(newRankBits[l]) +
                                 asFloat(msg.value));
     }
-    gpuStreamKernel(
+    gpuWarpKernel(
         sys, "pr_inject_remote", gpu::Phase::Processing, msgs.size(),
-        [&](std::uint64_t i, gpu::ThreadRecorder &rec) {
-            rec.load(inbox.addrOf(i % inbox.size()), 8);
-            const NodeId l = part->localOf(msgs[i].node);
-            rec.compute(8);
-            rec.atomic(newRankBits.addrOf(l), 4);
+        [&](gpu::WarpBuilder &w) {
+            w.load(8, [&](std::uint64_t i) {
+                return inbox.addrOf(i % inbox.size());
+            });
+            w.compute(8);
+            w.atomic(4, [&](std::uint64_t i) {
+                return newRankBits.addrOf(part->localOf(msgs[i].node));
+            });
         },
         dev);
 }
@@ -229,14 +237,14 @@ PageRankRunner::dampen()
         rankBits[u] = asBits(next);
         newRankBits[u] = asBits(0.0f);
     }
-    gpuStreamKernel(
+    gpuWarpKernel(
         sys, "pr_dampen", gpu::Phase::Processing, lim,
-        [&](std::uint64_t t, gpu::ThreadRecorder &rec) {
-            rec.load(newRankBits.addrOf(t), 4);
-            rec.load(rankBits.addrOf(t), 4);
-            rec.compute(12);
-            rec.store(rankBits.addrOf(t), 4);
-            rec.store(newRankBits.addrOf(t), 4);
+        [&](gpu::WarpBuilder &w) {
+            w.load(4, elemAt(newRankBits));
+            w.load(4, elemAt(rankBits));
+            w.compute(12);
+            w.store(4, elemAt(rankBits));
+            w.store(4, elemAt(newRankBits));
         },
         dev);
     // The convergence reduction is fused into the dampening

@@ -101,18 +101,17 @@ SsspRunner::prepare(std::size_t nf_n)
         indexes[t] = gb.offsets[u];
         srcDist[t] = dist[u];
     }
-    gpuStreamKernel(
+    gpuWarpKernel(
         sys, "sssp_prepare", gpu::Phase::Processing, nf_n,
-        [&](std::uint64_t t, gpu::ThreadRecorder &rec) {
-            rec.load(nodeFrontier.addrOf(t), 4);
-            const NodeId u = nodeFrontier[t];
-            rec.load(gb.offsets.addrOf(u), 4);
-            rec.load(gb.offsets.addrOf(u + 1), 4);
-            rec.load(dist.addrOf(u), 4);
-            rec.compute(16);
-            rec.store(counts.addrOf(t), 4);
-            rec.store(indexes.addrOf(t), 4);
-            rec.store(srcDist.addrOf(t), 4);
+        [&](gpu::WarpBuilder &w) {
+            w.load(4, elemAt(nodeFrontier));
+            w.load(4, elemAt(gb.offsets, nodeFrontier));
+            w.load(4, elemAt(gb.offsets, nodeFrontier, 1));
+            w.load(4, elemAt(dist, nodeFrontier));
+            w.compute(16);
+            w.store(4, elemAt(counts));
+            w.store(4, elemAt(indexes));
+            w.store(4, elemAt(srcDist));
         },
         dev);
 }
@@ -156,6 +155,9 @@ SsspRunner::contract(std::size_t ef_n, AlgMetrics &m,
             nearFlags[t] = 0;
     }
 
+    // Per-lane body: the atomic only improving lanes take sits before
+    // two stores every lane takes, so the merged order depends on
+    // whether the leader lane takes it (gpu/kernel.hh).
     gpuStreamKernel(
         sys, "sssp_contract", gpu::Phase::Processing, ef_n,
         [&](std::uint64_t t, gpu::ThreadRecorder &rec) {
@@ -209,19 +211,19 @@ SsspRunner::splitFarPile(std::size_t far_n, std::uint32_t threshold,
         }
     }
 
-    gpuStreamKernel(
+    gpuWarpKernel(
         sys, "sssp_far_split", gpu::Phase::Processing, far_n,
-        [&](std::uint64_t t, gpu::ThreadRecorder &rec) {
-            rec.load(fe.addrOf(t), 4);
-            rec.load(fw.addrOf(t), 4);
-            rec.load(dist.addrOf(fe[t]), 4);
-            rec.compute(20);
+        [&](gpu::WarpBuilder &w) {
+            w.load(4, elemAt(fe));
+            w.load(4, elemAt(fw));
+            w.load(4, elemAt(dist, fe));
+            w.compute(20);
             if (gpu_dedup) {
-                rec.store(lookupTable.addrOf(fe[t]), 4);
-                rec.load(lookupTable.addrOf(fe[t]), 4);
+                w.store(4, elemAt(lookupTable, fe));
+                w.load(4, elemAt(lookupTable, fe));
             }
-            rec.store(nearFlags.addrOf(t), 1);
-            rec.store(farFlags.addrOf(t), 1);
+            w.store(1, elemAt(nearFlags));
+            w.store(1, elemAt(farFlags));
         },
         dev);
 }
@@ -250,12 +252,12 @@ SsspRunner::beginRun(const AlgOptions &opt)
     }
 
     std::fill(dist.host().begin(), dist.host().end(), infDist);
-    gpuStreamKernel(
+    gpuWarpKernel(
         sys, "sssp_init", gpu::Phase::Processing, n,
-        [&](std::uint64_t t, gpu::ThreadRecorder &rec) {
-            rec.compute(2);
-            rec.store(dist.addrOf(t), 4);
-            rec.store(lookupTable.addrOf(t), 4);
+        [&](gpu::WarpBuilder &w) {
+            w.compute(2);
+            w.store(4, elemAt(dist));
+            w.store(4, elemAt(lookupTable));
         },
         dev);
 
@@ -294,20 +296,20 @@ SsspRunner::expand(AlgMetrics &m)
     std::size_t ef_n = 0;
     if (!use_scu) {
         ExpandOutput oe{
-            &edgeFrontier,
+            &edgeFrontier, 1,
             [&](std::size_t i, std::uint32_t j,
-                gpu::ThreadRecorder &rec) -> std::uint32_t {
+                Addr *addrs) -> std::uint32_t {
                 const std::uint32_t e = indexes[i] + j;
-                rec.load(gb.edges.addrOf(e), 4);
+                addrs[0] = gb.edges.addrOf(e);
                 return gb.edges[e];
             }};
         ExpandOutput ow{
-            &weightFrontier,
+            &weightFrontier, 2,
             [&](std::size_t i, std::uint32_t j,
-                gpu::ThreadRecorder &rec) -> std::uint32_t {
+                Addr *addrs) -> std::uint32_t {
                 const std::uint32_t e = indexes[i] + j;
-                rec.load(gb.weights.addrOf(e), 4);
-                rec.load(srcDist.addrOf(i), 4);
+                addrs[0] = gb.weights.addrOf(e);
+                addrs[1] = srcDist.addrOf(i);
                 return gb.weights[e] + srcDist[i];
             }};
         std::array<ExpandOutput, 2> outs{oe, ow};
@@ -380,13 +382,13 @@ SsspRunner::expand(AlgMetrics &m)
         // weight (cost) frontier.
         for (std::size_t t = 0; t < ef_n; ++t)
             weightFrontier[t] = gatherWeights[t] + replDist[t];
-        gpuStreamKernel(
+        gpuWarpKernel(
             sys, "sssp_wf_add", gpu::Phase::Processing, ef_n,
-            [&](std::uint64_t t, gpu::ThreadRecorder &rec) {
-                rec.load(gatherWeights.addrOf(t), 4);
-                rec.load(replDist.addrOf(t), 4);
-                rec.compute(6);
-                rec.store(weightFrontier.addrOf(t), 4);
+            [&](gpu::WarpBuilder &w) {
+                w.load(4, elemAt(gatherWeights));
+                w.load(4, elemAt(replDist));
+                w.compute(6);
+                w.store(4, elemAt(weightFrontier));
             },
             dev);
     }
@@ -564,15 +566,19 @@ SsspRunner::acceptRemote(std::span<const BoundaryMsg> msgs)
 
     // Timing: one thread per message — load it, compare against the
     // label, conditionally relax and append.
-    gpuStreamKernel(
+    const auto distOf = [&](std::uint64_t i) {
+        return dist.addrOf(part->localOf(msgs[i].node));
+    };
+    gpuWarpKernel(
         sys, "sssp_inject_remote", gpu::Phase::Processing,
         msgs.size(),
-        [&](std::uint64_t i, gpu::ThreadRecorder &rec) {
-            rec.load(inbox.addrOf(i % inbox.size()), 8);
-            const NodeId l = part->localOf(msgs[i].node);
-            rec.load(dist.addrOf(l), 4);
-            rec.compute(14);
-            rec.atomic(dist.addrOf(l), 4);
+        [&](gpu::WarpBuilder &w) {
+            w.load(8, [&](std::uint64_t i) {
+                return inbox.addrOf(i % inbox.size());
+            });
+            w.load(4, distOf);
+            w.compute(14);
+            w.atomic(4, distOf);
         },
         dev);
 }

@@ -95,6 +95,12 @@ Gpu::buildWarp(const KernelLaunch &k, std::uint64_t warp_id, Warp &out)
     const std::uint64_t last =
         std::min<std::uint64_t>(first + p.warpSize, k.numThreads);
 
+    if (k.warpBody) {
+        WarpBuilder b(out, first, static_cast<unsigned>(last - first));
+        k.warpBody(b);
+        return;
+    }
+
     // Record every lane into one flat buffer, then merge.
     laneOps.clear();
     laneEnd.clear();
@@ -118,6 +124,9 @@ Gpu::launch(const KernelLaunch &k)
     ks.startTick = sim.now();
 
     if (k.numThreads > 0) {
+        panic_if(!k.body == !k.warpBody,
+                 "kernel %s must set exactly one of body and warpBody",
+                 k.name.c_str());
         kernel = &k;
         numWarps = (k.numThreads + p.warpSize - 1) / p.warpSize;
 

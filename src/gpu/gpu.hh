@@ -92,7 +92,9 @@ class Gpu
                      const std::string &prefix = "");
 
   private:
-    /** Record one warp's lanes and merge them into @p out. */
+    /** Build warp @p warp_id of @p k into @p out: through a
+     *  WarpBuilder for a warp-wide body, else by recording its lanes
+     *  and merging them. */
     void buildWarp(const KernelLaunch &k, std::uint64_t warp_id,
                    Warp &out);
 

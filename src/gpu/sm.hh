@@ -46,105 +46,6 @@ class TraceChannel;
 namespace scusim::gpu
 {
 
-/** One warp-level instruction after SIMT lane merging. */
-struct WarpInstr
-{
-    ThreadOp::Kind kind = ThreadOp::Kind::Compute;
-    std::uint32_t computeCount = 0;  ///< Compute: instructions
-    std::uint32_t bytesPerLane = 4;  ///< mem ops
-    /**
-     * Mem ops: index of the first of this instruction's `threads`
-     * address slots in the owning warp's address pool (slot i holds
-     * lane i's address; slots whose laneMask bit is clear are
-     * don't-care). Unused by compute ops.
-     */
-    std::uint32_t addrBase = 0;
-    /** Active lanes of a mem op: bit i set means lane i participates. */
-    std::uint64_t laneMask = 0;
-};
-
-/**
- * Allocator whose value-initialization is a no-op for trivial types,
- * so `resize()` on a vector of them leaves the new elements
- * unwritten. The warp address pool uses it: every slot is written
- * before it is read, so zero-filling them first is wasted work.
- */
-template <typename T>
-struct DefaultInitAllocator : std::allocator<T>
-{
-    template <typename U>
-    struct rebind
-    {
-        using other = DefaultInitAllocator<U>;
-    };
-
-    using std::allocator<T>::allocator;
-
-    template <typename U>
-    void
-    construct(U *p)
-    {
-        ::new (static_cast<void *>(p)) U;
-    }
-
-    template <typename U, typename... Args>
-    void
-    construct(U *p, Args &&...args)
-    {
-        ::new (static_cast<void *>(p)) U(std::forward<Args>(args)...);
-    }
-};
-
-/**
- * A warp as handed over by the dispatcher: merged instruction stream,
- * its lane-address pool and initial pipeline state. The SM owns one
- * Warp per resident slot and has the source fill a retired one in
- * place, so the vectors keep their capacity from warp to warp. The
- * pipeline state is unpacked into the SM's SoA arrays on refill;
- * only `instrs`, `addrs` and `threads` are read after that.
- */
-struct Warp
-{
-    std::vector<WarpInstr> instrs;
-    /** Lane-address pool: each mem op owns `threads` slots. */
-    std::vector<Addr, DefaultInitAllocator<Addr>> addrs;
-    std::size_t pc = 0;
-    std::uint32_t computeLeft = 0; ///< remaining issues of current op
-    Tick blockedUntil = 0;
-    unsigned threads = 0; ///< active thread count (last warp may be
-                          ///< partial)
-
-    bool done() const { return pc >= instrs.size(); }
-
-    /**
-     * Append a mem op over the lanes of @p mask and return its
-     * `threads` address slots (valid until the next append). Slots
-     * outside @p mask read 0; the caller writes the others. Set
-     * `threads` first.
-     */
-    std::span<Addr>
-    appendMem(ThreadOp::Kind kind, std::uint64_t mask)
-    {
-        WarpInstr wi;
-        wi.kind = kind;
-        wi.addrBase = static_cast<std::uint32_t>(addrs.size());
-        wi.laneMask = mask;
-        instrs.push_back(wi);
-        addrs.resize(addrs.size() + threads);
-        Addr *slots = addrs.data() + wi.addrBase;
-        for (std::uint64_t m = ~mask & maskLow(threads); m; m &= m - 1)
-            slots[ctz64(m)] = 0;
-        return {slots, threads};
-    }
-
-    /** The address slots of mem op @p wi. */
-    std::span<const Addr>
-    laneAddrs(const WarpInstr &wi) const
-    {
-        return {addrs.data() + wi.addrBase, threads};
-    }
-};
-
 /**
  * Builds the next warp for an SM, or returns false when the kernel
  * has no more warps for it. Supplied by the Gpu dispatcher.

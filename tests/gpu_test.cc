@@ -1,6 +1,7 @@
 /**
  * @file
- * Unit tests for the GPU timing model: SIMT warp merging, coalescing
+ * Unit tests for the GPU timing model: SIMT warp merging, warp-wide
+ * kernel bodies against their per-lane equivalents, coalescing
  * accounting, phase attribution, launch mechanics and the effect of
  * divergence on execution time.
  */
@@ -8,12 +9,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
+#include <string>
 #include <vector>
 
+#include "alg/gpu_primitives.hh"
 #include "common/rng.hh"
 #include "gpu/gpu.hh"
 #include "gpu/gpu_config.hh"
+#include "mem/address_space.hh"
 #include "mem/mem_system.hh"
+#include "sim/check.hh"
 #include "sim/simulation.hh"
 #include "stats/stats.hh"
 
@@ -447,4 +453,397 @@ TEST(WarpMerge, AppendsAfterExistingContents)
     const auto slots = w.laneAddrs(w.instrs[0]);
     EXPECT_EQ(slots[0], 0x40u);
     EXPECT_EQ(slots[1], 0x80u);
+}
+
+TEST(WarpMerge, MidBodyDivergenceFollowsLeaderLane)
+{
+    // SSSP's contraction shape: every lane loads, computes, then only
+    // improving lanes take an atomic before two stores every lane
+    // takes. Which path lane 0 (the leader) takes decides the merged
+    // order, so this body has no warp-wide form.
+    const auto contract = [](std::uint64_t atomic_lanes) {
+        LanePrograms lanes(4);
+        for (std::size_t i = 0; i < lanes.size(); ++i) {
+            auto &l = lanes[i];
+            l.push_back(memOp(Kind::Load, 0x100 + i * 4));
+            l.push_back(compute(2));
+            if (atomic_lanes >> i & 1)
+                l.push_back(memOp(Kind::Atomic, 0x200 + i * 4));
+            l.push_back(memOp(Kind::Store, 0x300 + i, 1));
+            l.push_back(memOp(Kind::Store, 0x400 + i, 1));
+        }
+        return lanes;
+    };
+    const auto kindsAndMasks = [](const Warp &w) {
+        std::vector<std::pair<Kind, std::uint64_t>> out;
+        for (const WarpInstr &wi : w.instrs)
+            out.emplace_back(wi.kind, wi.laneMask);
+        return out;
+    };
+
+    // Lane 0 takes the atomic: it runs first, then both stores
+    // reconverge over all lanes.
+    const LanePrograms leader_atomic = contract(0b0101);
+    const Warp a = flatMerge(leader_atomic);
+    expectSameStream(leader_atomic, a);
+    const std::vector<std::pair<Kind, std::uint64_t>> want_a = {
+        {Kind::Load, 0b1111},  {Kind::Compute, 0},
+        {Kind::Atomic, 0b0101}, {Kind::Store, 0b1111},
+        {Kind::Store, 0b1111}};
+    EXPECT_EQ(kindsAndMasks(a), want_a);
+
+    // Lane 0 skips it: the skipping lanes run both stores first, and
+    // the atomic lanes follow with the atomic and their own stores.
+    const LanePrograms leader_skips = contract(0b0110);
+    const Warp b = flatMerge(leader_skips);
+    expectSameStream(leader_skips, b);
+    const std::vector<std::pair<Kind, std::uint64_t>> want_b = {
+        {Kind::Load, 0b1111},   {Kind::Compute, 0},
+        {Kind::Store, 0b1001},  {Kind::Store, 0b1001},
+        {Kind::Atomic, 0b0110}, {Kind::Store, 0b0110},
+        {Kind::Store, 0b0110}};
+    EXPECT_EQ(kindsAndMasks(b), want_b);
+}
+
+namespace
+{
+
+using WarpBodyFn = std::function<void(WarpBuilder &)>;
+using LaneBodyFn = std::function<void(std::uint64_t, ThreadRecorder &)>;
+
+/**
+ * Build every warp of a @p threads-thread launch both ways — through
+ * @p warp_body, and through @p lane_body plus mergeLanes — and
+ * compare them field for field and address slot for address slot.
+ * Returns how many warps ended with every lane retired.
+ */
+unsigned
+expectSameWarps(std::uint64_t threads, const WarpBodyFn &warp_body,
+                const LaneBodyFn &lane_body, unsigned warp_size = 32)
+{
+    unsigned all_retired = 0;
+    for (std::uint64_t first = 0; first < threads; first += warp_size) {
+        SCOPED_TRACE("warp at thread " + std::to_string(first));
+        const auto lanes = static_cast<unsigned>(
+            std::min<std::uint64_t>(warp_size, threads - first));
+        Warp direct;
+        WarpBuilder b(direct, first, lanes);
+        warp_body(b);
+        all_retired += b.live() == 0;
+
+        ThreadRecorder rec;
+        std::vector<std::uint32_t> lane_end;
+        for (std::uint64_t t = first; t < first + lanes; ++t) {
+            lane_body(t, rec);
+            lane_end.push_back(
+                static_cast<std::uint32_t>(rec.recorded().size()));
+        }
+        Warp merged;
+        mergeLanes(rec.recorded(), lane_end, merged);
+
+        EXPECT_EQ(direct.threads, merged.threads);
+        EXPECT_EQ(direct.addrs.size(), merged.addrs.size());
+        EXPECT_TRUE(std::equal(direct.addrs.begin(), direct.addrs.end(),
+                               merged.addrs.begin(),
+                               merged.addrs.end()));
+        EXPECT_EQ(direct.instrs.size(), merged.instrs.size());
+        const std::size_t k_end =
+            std::min(direct.instrs.size(), merged.instrs.size());
+        for (std::size_t k = 0; k < k_end; ++k) {
+            const WarpInstr &x = direct.instrs[k];
+            const WarpInstr &y = merged.instrs[k];
+            SCOPED_TRACE("instr " + std::to_string(k));
+            EXPECT_EQ(x.kind, y.kind);
+            EXPECT_EQ(x.computeCount, y.computeCount);
+            EXPECT_EQ(x.bytesPerLane, y.bytesPerLane);
+            EXPECT_EQ(x.addrBase, y.addrBase);
+            EXPECT_EQ(x.laneMask, y.laneMask);
+        }
+    }
+    return all_retired;
+}
+
+/** Thread counts off every multiple of 32 and 256, plus exact ones. */
+const std::uint64_t kThreadCounts[] = {1, 31, 32, 33, 255, 256, 257,
+                                       1000, 4099};
+
+} // namespace
+
+TEST(WarpBody, UniformStreamingKernelMatchesMerge)
+{
+    // The prepare/dampen/rank-update shape: streaming loads, one
+    // data-dependent gather load, compute, stores and an atomic.
+    Rng rng(0x57ea);
+    std::vector<std::uint32_t> idx(4099);
+    for (auto &v : idx)
+        v = static_cast<std::uint32_t>(rng.below(1 << 16));
+    for (std::uint64_t n : kThreadCounts) {
+        SCOPED_TRACE("n=" + std::to_string(n));
+        expectSameWarps(
+            n,
+            [&](WarpBuilder &w) {
+                w.load(4, [](std::uint64_t t) { return 0x1000 + t * 4; });
+                w.load(8, [&](std::uint64_t t) {
+                    return 0x90000 + Addr{idx[t]} * 8;
+                });
+                w.compute(16);
+                w.compute(0);
+                w.store(2, [](std::uint64_t t) { return 0x5000 + t * 2; });
+                w.atomic(4, [&](std::uint64_t t) {
+                    return 0x200000 + Addr{idx[t]} * 4;
+                });
+            },
+            [&](std::uint64_t t, ThreadRecorder &rec) {
+                rec.load(0x1000 + t * 4, 4);
+                rec.load(0x90000 + Addr{idx[t]} * 8, 8);
+                rec.compute(16);
+                rec.compute(0);
+                rec.store(0x5000 + t * 2, 2);
+                rec.atomic(0x200000 + Addr{idx[t]} * 4, 4);
+            });
+    }
+}
+
+TEST(WarpBody, TailPredicatedKernelsMatchMerge)
+{
+    for (std::uint64_t n : kThreadCounts) {
+        SCOPED_TRACE("n=" + std::to_string(n));
+        // The scan-local shape: a block's last thread (and the
+        // launch's last) also stores the block sum.
+        const auto last_of_block = [n](std::uint64_t t) {
+            return t % 256 == 255 || t == n - 1;
+        };
+        expectSameWarps(
+            n,
+            [&](WarpBuilder &w) {
+                w.load(1, [](std::uint64_t t) { return 0x1000 + t; });
+                w.compute(18);
+                w.store(4, [](std::uint64_t t) { return 0x8000 + t * 4; });
+                w.keepIf(last_of_block);
+                w.store(4, [](std::uint64_t t) {
+                    return 0x40000 + t / 256 * 4;
+                });
+            },
+            [&](std::uint64_t t, ThreadRecorder &rec) {
+                rec.load(0x1000 + t, 1);
+                rec.compute(18);
+                rec.store(0x8000 + t * 4, 4);
+                if (last_of_block(t))
+                    rec.store(0x40000 + t / 256 * 4, 4);
+            });
+        // The init shape: one lane in 32 also clears a bitmask word.
+        expectSameWarps(
+            n,
+            [&](WarpBuilder &w) {
+                w.compute(2);
+                w.store(4, [](std::uint64_t t) { return 0x1000 + t * 4; });
+                w.keepIf([](std::uint64_t t) { return t % 32 == 0; });
+                w.store(4, [](std::uint64_t t) {
+                    return 0x70000 + t / 32 * 4;
+                });
+            },
+            [&](std::uint64_t t, ThreadRecorder &rec) {
+                rec.compute(2);
+                rec.store(0x1000 + t * 4, 4);
+                if (t % 32 == 0)
+                    rec.store(0x70000 + t / 32 * 4, 4);
+            });
+    }
+}
+
+TEST(WarpBody, RandomFlagKernelsMatchMerge)
+{
+    // The scatter and status-lookup shapes on random flags: the
+    // unflagged lanes retire after the flag test. Flag density varies
+    // per warp, so some warps keep every lane and some retire all.
+    Rng rng(0xf1a95);
+    std::vector<std::uint8_t> flags(4099);
+    std::vector<std::uint32_t> pos(4099), node(4099);
+    for (std::size_t w = 0; w * 32 < flags.size(); ++w) {
+        const double p = (w % 4) / 3.0; // 0, 1/3, 2/3, 1
+        for (std::size_t t = w * 32; t < std::min(flags.size(),
+                                                  (w + 1) * 32);
+             ++t)
+            flags[t] = rng.chance(p) ? 1 : 0;
+    }
+    std::uint32_t running = 0;
+    for (std::size_t t = 0; t < flags.size(); ++t) {
+        pos[t] = running;
+        running += flags[t];
+        node[t] = static_cast<std::uint32_t>(rng.below(1 << 20));
+    }
+
+    unsigned all_retired = 0;
+    for (std::uint64_t n : kThreadCounts) {
+        SCOPED_TRACE("n=" + std::to_string(n));
+        const auto flagged = [&](std::uint64_t t) { return flags[t] != 0; };
+        all_retired += expectSameWarps(
+            n,
+            [&](WarpBuilder &w) {
+                w.load(1, [](std::uint64_t t) { return 0x1000 + t; });
+                w.load(4, [](std::uint64_t t) { return 0x8000 + t * 4; });
+                w.compute(12);
+                w.keepIf(flagged);
+                for (Addr s : {Addr{0x100000}, Addr{0x300000}}) {
+                    w.load(4, [s](std::uint64_t t) { return s + t * 4; });
+                    w.store(4, [&, s](std::uint64_t t) {
+                        return s + 0x100000 + Addr{pos[t]} * 4;
+                    });
+                }
+            },
+            [&](std::uint64_t t, ThreadRecorder &rec) {
+                rec.load(0x1000 + t, 1);
+                rec.load(0x8000 + t * 4, 4);
+                rec.compute(12);
+                if (!flags[t])
+                    return;
+                for (Addr s : {Addr{0x100000}, Addr{0x300000}}) {
+                    rec.load(s + t * 4, 4);
+                    rec.store(s + 0x100000 + Addr{pos[t]} * 4, 4);
+                }
+            });
+        const auto bits = [&](std::uint64_t t) {
+            return 0x600000 + Addr{node[t] / 32} * 4;
+        };
+        expectSameWarps(
+            n,
+            [&](WarpBuilder &w) {
+                w.load(4, [](std::uint64_t t) { return 0x1000 + t * 4; });
+                w.load(4, bits);
+                w.compute(24);
+                w.store(1, [](std::uint64_t t) { return 0x9000 + t; });
+                w.keepIf(flagged);
+                w.store(4, [&](std::uint64_t t) {
+                    return 0x800000 + Addr{node[t]} * 4;
+                });
+                w.store(4, bits);
+            },
+            [&](std::uint64_t t, ThreadRecorder &rec) {
+                rec.load(0x1000 + t * 4, 4);
+                rec.load(bits(t), 4);
+                rec.compute(24);
+                rec.store(0x9000 + t, 1);
+                if (flags[t]) {
+                    rec.store(0x800000 + Addr{node[t]} * 4, 4);
+                    rec.store(bits(t), 4);
+                }
+            });
+    }
+    EXPECT_GT(all_retired, 0u);
+}
+
+TEST(WarpBody, AllLanesRetiredEmitsNothingMore)
+{
+    Warp w;
+    WarpBuilder b(w, 64, 20);
+    EXPECT_EQ(w.threads, 20u);
+    b.compute(3);
+    b.keepIf([](std::uint64_t) { return false; });
+    EXPECT_EQ(b.live(), 0u);
+    b.compute(5);
+    b.load(4, [](std::uint64_t t) { return t * 4; });
+    b.store(4, [](std::uint64_t t) { return t * 4; });
+    b.atomic(4, [](std::uint64_t t) { return t * 4; });
+    ASSERT_EQ(w.instrs.size(), 1u);
+    EXPECT_EQ(w.instrs[0].computeCount, 3u);
+    EXPECT_TRUE(w.addrs.empty());
+}
+
+TEST(WarpBody, ExpandGatherMatchesPerThreadBinarySearch)
+{
+    // gpuExpand's gather: one binary search per warp plus a forward
+    // owner walk, against the per-thread upper_bound it replaced.
+    // Runs of length 0 (so the walk skips empty runs, also at a
+    // warp's first lane) and runs longer than a warp.
+    Rng rng(0x9a7e);
+    mem::AddressSpace as(1ULL << 28);
+    unsigned empty_runs = 0, long_runs = 0;
+    for (int trial = 0; trial < 40; ++trial) {
+        SCOPED_TRACE("trial " + std::to_string(trial));
+        const std::size_t n = rng.range(1, 300);
+        alg::Elems scanned, dist;
+        scanned.allocate(as, "scanned", n + 1);
+        dist.allocate(as, "dist", n);
+        std::uint32_t total = 0;
+        for (std::size_t i = 0; i < n; ++i) {
+            scanned[i] = total;
+            dist[i] = static_cast<std::uint32_t>(rng.below(1000));
+            const auto len = static_cast<std::uint32_t>(
+                rng.chance(0.4)   ? 0
+                : rng.chance(0.1) ? rng.range(33, 200)
+                                  : rng.range(1, 5));
+            empty_runs += len == 0;
+            long_runs += len > 32;
+            total += len;
+        }
+        scanned[n] = total;
+        alg::Elems edges, out_a, out_b;
+        edges.allocate(as, "edges", total + 1);
+        out_a.allocate(as, "out_a", total + 1);
+        out_b.allocate(as, "out_b", total + 1);
+        for (std::uint32_t e = 0; e < total; ++e)
+            edges[e] = static_cast<std::uint32_t>(rng.below(1 << 20));
+
+        const alg::ExpandOutput outs[] = {
+            {&out_a, 1,
+             [&](std::size_t i, std::uint32_t j,
+                 Addr *addrs) -> std::uint32_t {
+                 addrs[0] = edges.addrOf(scanned[i] + j);
+                 return edges[scanned[i] + j];
+             }},
+            {&out_b, 2,
+             [&](std::size_t i, std::uint32_t j,
+                 Addr *addrs) -> std::uint32_t {
+                 addrs[0] = edges.addrOf(scanned[i] + j);
+                 addrs[1] = dist.addrOf(i);
+                 return edges[scanned[i] + j] + dist[i];
+             }}};
+        const KernelLaunch k =
+            alg::expandGather(scanned, n, outs, "gather");
+        ASSERT_EQ(k.numThreads, total);
+
+        // The gather body before the owner walk, per thread.
+        const auto per_thread = [&](std::uint64_t t,
+                                    ThreadRecorder &rec) {
+            const auto it = std::upper_bound(
+                scanned.host().begin(),
+                scanned.host().begin() +
+                    static_cast<std::ptrdiff_t>(n) + 1,
+                static_cast<std::uint32_t>(t));
+            const auto i = static_cast<std::size_t>(
+                               it - scanned.host().begin()) - 1;
+            const auto j = static_cast<std::uint32_t>(t - scanned[i]);
+            rec.load(scanned.addrOf(i), 4);
+            rec.load(scanned.addrOf(i + 1), 4);
+            rec.compute(24);
+            for (const auto &o : outs) {
+                Addr addrs[alg::ExpandOutput::maxLoads];
+                o.value(i, j, addrs);
+                for (unsigned l = 0; l < o.loads; ++l)
+                    rec.load(addrs[l], 4);
+                rec.store(o.out->addrOf(t), 4);
+            }
+        };
+        expectSameWarps(total, k.warpBody, per_thread);
+
+        // Functional result: run i's elements, in order.
+        for (std::size_t i = 0; i < n; ++i) {
+            for (std::uint32_t t = scanned[i]; t < scanned[i + 1]; ++t) {
+                ASSERT_EQ(out_a[t], edges[t]);
+                ASSERT_EQ(out_b[t], edges[t] + dist[i]);
+            }
+        }
+    }
+    EXPECT_GT(empty_runs, 0u);
+    EXPECT_GT(long_runs, 0u);
+}
+
+TEST(WarpBody, KeepingARetiredLaneDiesInCheckedBuilds)
+{
+    if (!sim::checksEnabled)
+        GTEST_SKIP() << "SCUSIM_CHECK not compiled in";
+    Warp w;
+    WarpBuilder b(w, 0, 32);
+    b.keepIf([](std::uint64_t t) { return t != 3; });
+    EXPECT_DEATH(b.keepLanes(maskLow(32)), "lane 3, which is not live");
 }

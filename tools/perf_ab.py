@@ -7,8 +7,9 @@ run at run.py's default length: a
 this checkout (the "change"). Which side runs first alternates from
 pair to pair. Prints:
 
-- each pair's wall_ref, each side's median and quartiles, and how
-  many pairs the change won (ties count for neither side);
+- each pair's wall_ref and cpu_ref, each side's median and quartiles
+  of both, and how many pairs the change won on wall_ref (ties count
+  for neither side);
 - a `gain verdict: met|not met` line: met when the change won at
   least 9/10 of the pairs and its median wall_ref gain exceeds the
   parent's IQR;
@@ -126,17 +127,23 @@ def timed_pairs(args, sides, reference, bench):
         b = got["change"].get("wall_ref")
         if a is not None and b is not None and b < a:
             wins += 1
-        print("pair %2d (%s first): parent %12.4f  change %12.4f" %
-              (i + 1, order[0], a or float("nan"), b or float("nan")))
+        print("pair %2d (%s first): parent %12.4f  change %12.4f  "
+              "(cpu_ref parent %.4f, change %.4f)" %
+              (i + 1, order[0], a or float("nan"), b or float("nan"),
+               got["parent"].get("cpu_ref", float("nan")),
+               got["change"].get("cpu_ref", float("nan"))))
 
     stats = {}
-    for side in ("parent", "change"):
-        vals = [m["wall_ref"] for m in samples[side] if "wall_ref" in m]
-        if vals:
+    for name in ("wall_ref", "cpu_ref"):
+        for side in ("parent", "change"):
+            vals = [m[name] for m in samples[side] if name in m]
+            if not vals:
+                continue
             q1, q2, q3 = quartiles(vals)
-            stats[side] = (q2, q3 - q1)
-            print("%-6s wall_ref: median %.4f, quartiles %.4f .. %.4f "
-                  "(IQR %.4f, n=%d)" % (side, q2, q1, q3, q3 - q1,
+            if name == "wall_ref":
+                stats[side] = (q2, q3 - q1)
+            print("%-6s %s: median %.4f, quartiles %.4f .. %.4f "
+                  "(IQR %.4f, n=%d)" % (side, name, q2, q1, q3, q3 - q1,
                                         len(vals)))
     print("change won %d of %d pairs on wall_ref" % (wins, args.pairs))
     # A claimed gain needs 9 wins in 10 pairs and a median gain larger

@@ -36,7 +36,7 @@ tx1KronPlan(harness::Primitive prim)
 int
 main(int argc, char **argv)
 {
-    const sim::FaultPlan faults = parseBenchArgs(argc, argv);
+    rejectBenchArgs(argc, argv);
 
     std::vector<std::pair<std::string, scu::ScuParams>> widths;
     for (unsigned w : {1u, 2u, 4u, 8u}) {
@@ -45,8 +45,7 @@ main(int argc, char **argv)
         widths.emplace_back(std::to_string(w), sp);
     }
     auto widthPlan = tx1KronPlan(harness::Primitive::Bfs)
-                         .ablate("width", widths)
-                         .faults(faults);
+                         .ablate("width", widths);
 
     std::vector<std::pair<std::string, scu::ScuParams>> hashes;
     for (std::uint64_t kb : {8, 33, 132, 528}) {
@@ -55,8 +54,7 @@ main(int argc, char **argv)
         hashes.emplace_back(std::to_string(kb), sp);
     }
     auto hashPlan = tx1KronPlan(harness::Primitive::Bfs)
-                        .ablate("hashKB", hashes)
-                        .faults(faults);
+                        .ablate("hashKB", hashes);
 
     std::vector<std::pair<std::string, scu::ScuParams>> groups;
     for (unsigned gs : {4u, 8u, 32u}) {
@@ -65,8 +63,7 @@ main(int argc, char **argv)
         groups.emplace_back(std::to_string(gs), sp);
     }
     auto groupPlan = tx1KronPlan(harness::Primitive::Sssp)
-                         .ablate("group", groups)
-                         .faults(faults);
+                         .ablate("group", groups);
 
     // One batch: the executor interleaves all three sweeps.
     auto runs = widthPlan.expand();
@@ -76,7 +73,7 @@ main(int argc, char **argv)
     std::printf("executing %zu runs on %u workers "
                 "(SCUSIM_JOBS to change)...\n",
                 runs.size(), harness::executorJobs());
-    auto res = harness::runPlan(runs, benchExecutorOptions(faults));
+    auto res = harness::runPlan(runs, benchExecutorOptions());
 
     harness::Table t1(
         "Ablation: SCU pipeline width (BFS, kron, TX1)");

@@ -13,10 +13,7 @@
  *   SCUSIM_TRACE_MASK   enable per-run tracing (trace-enabled builds)
  *   SCUSIM_TRACE_PERIOD timeseries sampling window, ticks
  *
- * Command line (every bench binary):
- *   --inject <kind>@<tick>[x<magnitude>][t<target>]
- *       arm a deterministic fault in every run of the matrix;
- *       repeatable. Kinds: see sim::FaultKind / `--inject help`.
+ * The figure benches take no command-line arguments.
  */
 
 #ifndef SCUSIM_BENCH_BENCH_COMMON_HH
@@ -30,7 +27,6 @@
 #include "harness/executor.hh"
 #include "harness/plan.hh"
 #include "harness/results.hh"
-#include "sim/fault.hh"
 
 namespace scusim::bench
 {
@@ -82,28 +78,19 @@ scuModeFor(harness::Primitive prim)
 }
 
 /**
- * Parse the shared bench command line: every "--inject <spec>" arms
- * one fault (syntax "<kind>@<tick>[x<magnitude>][t<target>]", see
- * sim::parseFaultSpec) in every run of the plan. Exits with usage on
- * anything unrecognized, so a typo can't silently run pristine.
+ * Exit with a usage line if the bench was given any argument, so a
+ * mistyped option cannot run unnoticed with the defaults.
  */
-inline sim::FaultPlan
-parseBenchArgs(int argc, char **argv)
+inline void
+rejectBenchArgs(int argc, char **argv)
 {
-    sim::FaultPlan faults;
-    for (int i = 1; i < argc; ++i) {
-        const std::string a = argv[i];
-        if (a == "--inject" && i + 1 < argc) {
-            faults.add(sim::parseFaultSpec(argv[++i]));
-            continue;
-        }
-        std::fprintf(stderr,
-                     "usage: %s [--inject "
-                     "<kind>@<tick>[x<magnitude>][t<target>]]...\n",
-                     argv[0]);
-        std::exit(2);
-    }
-    return faults;
+    if (argc <= 1)
+        return;
+    std::fprintf(stderr,
+                 "usage: %s (no arguments; configure with the "
+                 "SCUSIM_* environment variables)\n",
+                 argv[0]);
+    std::exit(2);
 }
 
 /**
@@ -120,29 +107,6 @@ benchExecutorOptions()
     return opts;
 }
 
-/**
- * Executor options for a plan that carries @p faults. An armed fault
- * plan also arms the detection guards: a chaos run without a tick
- * budget or stall window would just absorb the fault into an
- * absurd-but-"successful" cycle count instead of rendering the
- * FAIL(<kind>) cell the injection exists to demonstrate. Both bounds
- * are far above anything a healthy run reaches, and they are only
- * applied when faults are armed, so pristine runs keep the
- * executor's usual (wall-clock-only) supervision.
- */
-inline harness::ExecutorOptions
-benchExecutorOptions(const sim::FaultPlan &faults)
-{
-    harness::ExecutorOptions opts = benchExecutorOptions();
-    if (!faults.empty()) {
-        if (!opts.guards.tickBudget)
-            opts.guards.tickBudget = 1'000'000'000;
-        if (!opts.guards.stallWindow)
-            opts.guards.stallWindow = 1'000'000;
-    }
-    return opts;
-}
-
 /** Execute @p plan, reporting matrix size and worker count. */
 inline harness::PlanResults
 runBenchPlan(const harness::ExperimentPlan &plan)
@@ -154,21 +118,13 @@ runBenchPlan(const harness::ExperimentPlan &plan)
     return harness::runPlan(runs, benchExecutorOptions());
 }
 
-/**
- * Execute @p plan with the shared command line applied: parses
- * --inject faults into every run (arming the chaos guards, see
- * above), then runs as runBenchPlan does.
- */
+/** Reject any command-line argument, then run as runBenchPlan. */
 inline harness::PlanResults
-runBenchPlan(harness::ExperimentPlan plan, int argc, char **argv)
+runBenchPlan(const harness::ExperimentPlan &plan, int argc,
+             char **argv)
 {
-    sim::FaultPlan faults = parseBenchArgs(argc, argv);
-    harness::ExecutorOptions opts = benchExecutorOptions(faults);
-    auto runs = plan.faults(std::move(faults)).expand();
-    std::printf("executing %zu runs on %u workers "
-                "(SCUSIM_JOBS to change)...\n",
-                runs.size(), harness::executorJobs());
-    return harness::runPlan(runs, opts);
+    rejectBenchArgs(argc, argv);
+    return runBenchPlan(plan);
 }
 
 inline std::string

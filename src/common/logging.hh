@@ -27,7 +27,7 @@ enum class LogLevel { Inform, Warn, Fatal, Panic };
 /**
  * Invariant (sim_check) violation: a checked-build contract broke.
  * Same abort-or-throw behaviour as logPanic but classified as
- * FailureKind::Invariant for supervised runs.
+ * FailureKind::Invariant for runs under an error trap.
  */
 [[noreturn]] void logInvariant(const std::string &msg);
 void logWarn(const std::string &msg);

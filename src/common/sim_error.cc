@@ -33,8 +33,6 @@ to_string(FailureKind k)
         return "deadlock";
       case FailureKind::Runaway:
         return "runaway";
-      case FailureKind::Timeout:
-        return "timeout";
     }
     return "?";
 }
@@ -66,7 +64,7 @@ void
 reportFailure(FailureKind kind, const std::string &msg,
               std::string diagnostics)
 {
-    if (trapActive || kind == FailureKind::Timeout)
+    if (trapActive)
         throw SimError(kind, msg, std::move(diagnostics));
     {
         std::lock_guard<std::mutex> lock(errMutex());

@@ -1,6 +1,6 @@
 /**
  * @file
- * Typed failure taxonomy for supervised simulation runs. In the
+ * Typed failure taxonomy for simulation runs. In the
  * gem5 tradition a panic() aborts the process; under the parallel
  * executor that kills a whole experiment matrix for one bad cell.
  * The executor therefore installs a thread-local *error trap* around
@@ -27,19 +27,7 @@ enum class FailureKind
     Invariant, ///< checked-build contract violation (sim_check)
     Deadlock,  ///< components busy but making no progress
     Runaway,   ///< tick budget exceeded without draining
-    Timeout,   ///< wall-clock budget exceeded
 };
-
-/**
- * Transient failures depend on host load, not on the run itself: they
- * are retried (with backoff), and neither the in-process memo nor the
- * persistent run cache ever stores them.
- */
-constexpr bool
-isTransientFailure(FailureKind k)
-{
-    return k == FailureKind::Timeout;
-}
 
 /** Lowercase name: "panic", "invariant", "deadlock", ... */
 const char *to_string(FailureKind k);
@@ -69,7 +57,7 @@ bool errorTrapActive();
 /**
  * RAII error trap: while alive on this thread, reportFailure() (and
  * through it panic()/sim_check) throws SimError instead of aborting.
- * Nests safely; the executor installs one per supervised run.
+ * Nests safely; the executor installs one per run.
  */
 class ErrorTrapGuard
 {
@@ -86,9 +74,7 @@ class ErrorTrapGuard
 /**
  * Report a classified failure: throws SimError when the thread's
  * error trap is active, otherwise prints "<kind>: <msg>" (plus the
- * diagnostics, if any) to stderr and aborts — Timeout excepted, which
- * always throws (only a supervisor raises it, and a supervisor
- * implies a trap).
+ * diagnostics, if any) to stderr and aborts.
  */
 [[noreturn]] void reportFailure(FailureKind kind,
                                 const std::string &msg,

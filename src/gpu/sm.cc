@@ -6,8 +6,6 @@
 
 #include "common/logging.hh"
 #include "sim/check.hh"
-#include "sim/fault.hh"
-#include "sim/simulation.hh"
 #include "trace/trace.hh"
 
 namespace scusim::gpu
@@ -15,8 +13,8 @@ namespace scusim::gpu
 
 StreamingMultiprocessor::StreamingMultiprocessor(
     const GpuParams &params, unsigned id, mem::MemLevel *shared_mem,
-    stats::StatGroup *parent, sim::Simulation *sim)
-    : p(params), smId(id), sharedMem(shared_mem), simPtr(sim),
+    stats::StatGroup *parent)
+    : p(params), smId(id), sharedMem(shared_mem),
       l1Cache(params.l1, shared_mem, parent),
       outstandingLoads(params.maxOutstanding),
       grp(std::string("sm") + std::to_string(id), parent),
@@ -381,14 +379,6 @@ StreamingMultiprocessor::compactRetired(std::uint64_t retire)
 void
 StreamingMultiprocessor::tick(Tick now)
 {
-    if (simPtr) {
-        // An injected FIFO stall: the SM stays busy but cannot
-        // drain, so its progress counter freezes and the deadlock
-        // watchdog eventually fires.
-        if (auto *inj = simPtr->faultInjector();
-            inj && inj->smStalled(smId, now))
-            return;
-    }
     if (body.empty()) {
         refill();
         if (body.empty())

@@ -33,11 +33,6 @@
 #include "sim/clocked.hh"
 #include "stats/stats.hh"
 
-namespace scusim::sim
-{
-class Simulation;
-}
-
 namespace scusim::trace
 {
 class TraceChannel;
@@ -75,8 +70,7 @@ class StreamingMultiprocessor : public sim::Clocked
 
     StreamingMultiprocessor(const GpuParams &params, unsigned id,
                             mem::MemLevel *shared_mem,
-                            stats::StatGroup *parent,
-                            sim::Simulation *sim = nullptr);
+                            stats::StatGroup *parent);
 
     /** Attach the warp source and per-kernel stats sink for a launch. */
     void beginKernel(WarpSource source, KernelStats *sink);
@@ -147,8 +141,6 @@ class StreamingMultiprocessor : public sim::Clocked
     const GpuParams &p;
     unsigned smId;
     mem::MemLevel *sharedMem; ///< L2 side (atomics bypass the L1)
-    sim::Simulation *simPtr;  ///< for fault-injector lookups (may
-                              ///< be null in unit tests)
     mem::Cache l1Cache;
 
     /** Recompute wakeCache (blockedMin folded with the ready slots). */

@@ -1,7 +1,6 @@
 #include "harness/executor.hh"
 
 #include <atomic>
-#include <chrono>
 #include <cstdlib>
 #include <map>
 #include <mutex>
@@ -9,7 +8,6 @@
 #include <thread>
 
 #include "common/logging.hh"
-#include "common/rng.hh"
 #include "graph/datasets.hh"
 #include "harness/run_cache.hh"
 
@@ -36,21 +34,7 @@ copyOutcome(RunRecord &to, const RunRecord &from)
     to.error = from.error;
     to.failure = from.failure;
     to.diagnostics = from.diagnostics;
-    to.attempts = from.attempts;
-    to.backoffMs = from.backoffMs;
     to.fromDiskCache = from.fromDiskCache;
-}
-
-/** Merge executor-level default guards into one run's config. */
-void
-mergeGuards(RunConfig &cfg, const ExecutorOptions &opts)
-{
-    if (!cfg.guards.tickBudget)
-        cfg.guards.tickBudget = opts.guards.tickBudget;
-    if (!cfg.guards.stallWindow)
-        cfg.guards.stallWindow = opts.guards.stallWindow;
-    if (cfg.guards.wallSeconds <= 0)
-        cfg.guards.wallSeconds = opts.guards.wallSeconds;
 }
 
 /** File-name-safe rendering of a run label. */
@@ -202,27 +186,6 @@ PlanResults::tryByLabel(const std::string &label) const
 }
 
 unsigned
-retryBackoffMs(std::uint64_t seed, unsigned attempt,
-               unsigned baseMs, unsigned capMs)
-{
-    if (!baseMs || !attempt)
-        return 0;
-    // Exponential growth saturating at the cap; shifting past the
-    // cap's magnitude would overflow, so clamp the exponent first.
-    std::uint64_t delay = baseMs;
-    for (unsigned i = 1; i < attempt && delay < capMs; ++i)
-        delay *= 2;
-    if (delay > capMs)
-        delay = capMs;
-    // Jitter into [delay/2, delay]: desynchronizes retry herds while
-    // staying reproducible — the generator is seeded purely from the
-    // run identity and the attempt number.
-    Rng rng(seed ^ (0x9E3779B97F4A7C15ull * (attempt + 1)));
-    const std::uint64_t half = delay / 2;
-    return static_cast<unsigned>(half + rng.below(delay - half + 1));
-}
-
-unsigned
 executorJobs(const ExecutorOptions &opts)
 {
     if (opts.jobs)
@@ -268,9 +231,7 @@ runPlan(const std::vector<PlannedRun> &runs,
             // pointer keys are process-local and can never match.
             if (!cacheDir.empty() && !runs[i].graph) {
                 RunRecord hit;
-                if (loadCachedRun(cacheDir, runs[i].key, hit) &&
-                    !(hit.failure &&
-                      isTransientFailure(*hit.failure))) {
+                if (loadCachedRun(cacheDir, runs[i].key, hit)) {
                     copyOutcome(recs[i], hit);
                     recs[i].fromDiskCache = true;
                     // Disk hits also feed the in-process memo so
@@ -295,51 +256,29 @@ runPlan(const std::vector<PlannedRun> &runs,
                 break;
             RunRecord &rec = recs[todo[t]];
             RunConfig cfg = rec.run.cfg;
-            mergeGuards(cfg, opts);
             mergeTrace(cfg, rec.run.label, opts);
-            for (;;) {
-                ++rec.attempts;
-                try {
-                    // Failures inside the run (panics, invariant
-                    // violations, watchdog trips) throw SimError
-                    // while the trap is alive instead of aborting
-                    // the whole matrix.
-                    ErrorTrapGuard trap;
-                    rec.result = checkedRun(cfg, rec.run.graph);
-                    rec.ok = true;
-                    rec.failure.reset();
-                    rec.error.clear();
-                    rec.diagnostics.clear();
-                    if (!rec.result.validated)
-                        warn("run '%s' failed validation",
-                             rec.run.label.c_str());
-                    break;
-                } catch (const SimError &e) {
-                    rec.error = e.what();
-                    rec.failure = e.kind();
-                    rec.diagnostics = e.diagnostics();
-                    warn("run '%s' failed (%s): %s",
-                         rec.run.label.c_str(),
-                         to_string(e.kind()), e.what());
-                    // Only transient failures are worth retrying; a
-                    // deterministic fault would just fail again.
-                    if (isTransientFailure(e.kind()) &&
-                        rec.attempts <= opts.maxRetries) {
-                        const unsigned delay = retryBackoffMs(
-                            cfg.seed, rec.attempts,
-                            opts.backoffBaseMs, opts.backoffCapMs);
-                        rec.backoffMs += delay;
-                        std::this_thread::sleep_for(
-                            std::chrono::milliseconds(delay));
-                        continue;
-                    }
-                    break;
-                } catch (const std::exception &e) {
-                    rec.error = e.what();
-                    warn("run '%s' failed: %s",
-                         rec.run.label.c_str(), e.what());
-                    break;
-                }
+            try {
+                // Failures inside the run (panics, invariant
+                // violations, watchdog trips) throw SimError while
+                // the trap is alive instead of aborting the whole
+                // matrix.
+                ErrorTrapGuard trap;
+                rec.result = checkedRun(cfg, rec.run.graph);
+                rec.ok = true;
+                if (!rec.result.validated)
+                    warn("run '%s' failed validation",
+                         rec.run.label.c_str());
+            } catch (const SimError &e) {
+                rec.error = e.what();
+                rec.failure = e.kind();
+                rec.diagnostics = e.diagnostics();
+                warn("run '%s' failed (%s): %s",
+                     rec.run.label.c_str(), to_string(e.kind()),
+                     e.what());
+            } catch (const std::exception &e) {
+                rec.error = e.what();
+                warn("run '%s' failed: %s", rec.run.label.c_str(),
+                     e.what());
             }
         }
     };
@@ -364,16 +303,11 @@ runPlan(const std::vector<PlannedRun> &runs,
                 if (j != i)
                     copyOutcome(recs[j], recs[i]);
             }
-            // Transient failures depend on host load, not on the
-            // run: serving one from the memo would make them
-            // permanent.
-            if (opts.memoize &&
-                !(recs[i].failure &&
-                  isTransientFailure(*recs[i].failure)))
+            if (opts.memoize)
                 memo().emplace(recs[i].run.key, recs[i]);
             // Persist freshly executed outcomes for later processes
             // (storeCachedRun itself rejects pointer-keyed
-            // graph-backed runs and transient Timeouts).
+            // graph-backed runs).
             if (!cacheDir.empty())
                 storeCachedRun(cacheDir, recs[i]);
         }

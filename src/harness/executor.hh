@@ -33,14 +33,6 @@ struct RunRecord
     std::optional<FailureKind> failure;
     /** Per-component diagnostic dump attached to the failure. */
     std::string diagnostics;
-    /** Execution attempts (> 1 when a Timeout was retried). */
-    unsigned attempts = 0;
-    /**
-     * Total milliseconds of retry backoff applied before the final
-     * attempt. Deterministic for a given (seed, attempts) pair — the
-     * delays are seed-derived, not drawn from wall-clock entropy.
-     */
-    unsigned backoffMs = 0;
     /**
      * Served from the persistent disk cache (SCUSIM_CACHE_DIR)
      * instead of simulating. Deliberately excluded from the JSON/CSV
@@ -119,33 +111,17 @@ struct ExecutorOptions
     /**
      * Share results across runPlan() calls in this process (the
      * run-level replacement of the old bench runCached()). Tests
-     * that compare fresh executions turn this off. Timeout failures
-     * are never memoized — they are transient by definition.
+     * that compare fresh executions turn this off. Failed runs are
+     * memoized too: every failure kind is deterministic.
      */
     bool memoize = true;
-    /**
-     * Default budgets merged into every run whose own guards leave
-     * the corresponding field unset.
-     */
-    RunGuards guards = {};
-    /** Extra attempts granted to transient (Timeout) failures. */
-    unsigned maxRetries = 0;
-    /**
-     * Retry backoff: attempt n waits roughly baseMs * 2^(n-1),
-     * capped at capMs, with +/-50% jitter derived deterministically
-     * from the run's seed and the attempt number (never from
-     * wall-clock entropy), so a retried plan stays reproducible.
-     * baseMs == 0 restores the historical immediate retry.
-     */
-    unsigned backoffBaseMs = 25;
-    unsigned backoffCapMs = 2000;
     /**
      * Consult the persistent on-disk run cache when SCUSIM_CACHE_DIR
      * is set (run_cache.hh): completed records are stored keyed by
      * run key, and later processes serve matching runs from disk —
      * zero simulation — with bit-identical results. Requires memoize
      * (the same "identical key, identical result" contract); runs on
-     * caller-owned graphs and Timeout failures are never cached.
+     * caller-owned graphs are never cached.
      */
     bool diskCache = true;
     /**
@@ -167,15 +143,6 @@ struct ExecutorOptions
 
 /** The resolved worker count runPlan() would use for @p opts. */
 unsigned executorJobs(const ExecutorOptions &opts = {});
-
-/**
- * The delay before retry number @p attempt (1 = first retry) of a
- * run seeded with @p seed: exponential in the attempt, capped at
- * @p capMs, jittered into [delay/2, delay] by a generator seeded
- * from (seed, attempt) — pure function, reproducible everywhere.
- */
-unsigned retryBackoffMs(std::uint64_t seed, unsigned attempt,
-                        unsigned baseMs, unsigned capMs);
 
 /** Expand and run @p plan. */
 PlanResults runPlan(const ExperimentPlan &plan,

@@ -59,16 +59,11 @@ runKey(const RunConfig &cfg, const graph::CsrGraph *graph)
         os << "|scu=";
         appendScu(os, *cfg.scuOverride);
     }
-    // Faults and budgets change what a run produces (or whether it
-    // completes at all), so they key the memo; a pristine, unguarded
-    // run keeps the exact key it had before either feature existed.
-    if (!cfg.faults.empty())
-        os << "|faults=" << cfg.faults.fingerprint();
-    if (cfg.guards.tickBudget || cfg.guards.stallWindow ||
-        cfg.guards.wallSeconds > 0) {
+    // Budgets decide whether a run completes at all, so they key the
+    // memo; an unguarded run's key carries no guards field.
+    if (cfg.guards.tickBudget || cfg.guards.stallWindow) {
         os << "|guards=" << cfg.guards.tickBudget << ","
-           << cfg.guards.stallWindow << ","
-           << keyNum(cfg.guards.wallSeconds);
+           << cfg.guards.stallWindow;
     }
     // Sharding changes the execution path (and, with more than one
     // device, the system itself). Single-device non-sharded runs keep
@@ -180,13 +175,6 @@ ExperimentPlan::algOptions(const alg::AlgOptions &o)
 }
 
 ExperimentPlan &
-ExperimentPlan::faults(sim::FaultPlan f)
-{
-    faultsValue = std::move(f);
-    return *this;
-}
-
-ExperimentPlan &
 ExperimentPlan::graph(const graph::CsrGraph *g, std::string name)
 {
     graphPtr = g;
@@ -230,24 +218,11 @@ ExperimentPlan::expand() const
         out.push_back(std::move(r));
     };
 
-    // Extras keep their own faults; plan-level faults only fill the
-    // gap (and re-key, since faults are part of the run identity).
-    auto pushExtra = [&](const PlannedRun &e) {
-        if (faultsValue.empty() || !e.cfg.faults.empty()) {
-            push(e);
-            return;
-        }
-        PlannedRun r = e;
-        r.cfg.faults = faultsValue;
-        r.key = runKey(r.cfg, r.graph);
-        push(std::move(r));
-    };
-
     // An extras-only plan states its runs exhaustively: don't smuggle
     // in the one-cell default matrix.
     if (!extras.empty() && !axesDeclared) {
         for (const auto &e : extras)
-            pushExtra(e);
+            push(e);
         return out;
     }
 
@@ -274,7 +249,6 @@ ExperimentPlan::expand() const
                             cfg.scale = scaleValue;
                             cfg.seed = seedValue;
                             cfg.alg = algValue;
-                            cfg.faults = faultsValue;
                             cfg.deviceCount = dc;
                             if (!ablateVariants.empty())
                                 cfg.scuOverride = var.second;
@@ -295,7 +269,7 @@ ExperimentPlan::expand() const
         }
     }
     for (const auto &e : extras)
-        pushExtra(e);
+        push(e);
     return out;
 }
 

@@ -96,14 +96,6 @@ class ExperimentPlan
     ExperimentPlan &algOptions(const alg::AlgOptions &o);
 
     /**
-     * Inject @p f into every run of the matrix (and into add()ed
-     * extras that carry no faults of their own). Fault-carrying runs
-     * get distinct memo keys, so a faulted plan never collides with
-     * the pristine matrix.
-     */
-    ExperimentPlan &faults(sim::FaultPlan f);
-
-    /**
      * Run every cell on @p g (caller-owned, must outlive execution)
      * instead of synthesizing a dataset; @p name becomes the
      * dataset axis label.
@@ -148,7 +140,6 @@ class ExperimentPlan
     double scaleValue;
     std::uint64_t seedValue;
     alg::AlgOptions algValue;
-    sim::FaultPlan faultsValue;
     const graph::CsrGraph *graphPtr = nullptr;
     std::string ablateAxis;
     std::vector<std::pair<std::string, scu::ScuParams>>

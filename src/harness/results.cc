@@ -178,11 +178,9 @@ const Field runFields[] = {
          if (r.ok)
              return quoted("");
          // A failed run without a classified kind was a plain
-         // exception (bad config, ...), not a supervised failure.
+         // exception (bad config, ...), not a simulation failure.
          return quoted(r.failure ? to_string(*r.failure) : "error");
      }},
-    {"attempts",
-     [](const RunRecord &r) { return std::to_string(r.attempts); }},
     {"validated",
      [](const RunRecord &r) {
          return std::string(r.ok && r.result.validated ? "true"
@@ -366,8 +364,6 @@ writeFailureReport(std::ostream &os, const PlanResults &res)
            << quoted(r.run.label) << ",\"failureKind\":"
            << quoted(r.failure ? to_string(*r.failure) : "error")
            << ",\"error\":" << quoted(r.error)
-           << ",\"attempts\":" << r.attempts
-           << ",\"backoffMs\":" << r.backoffMs
            << ",\"diagnostics\":" << quoted(r.diagnostics) << "}";
         first = false;
     }

@@ -158,13 +158,8 @@ bool
 runCacheStorable(const RunRecord &rec)
 {
     // A graph-backed run is keyed by a raw pointer, which is
-    // meaningless in another process. Transient failures depend on
-    // host load, not the run (same rule as the in-process memo).
-    if (rec.run.graph)
-        return false;
-    if (rec.failure && isTransientFailure(*rec.failure))
-        return false;
-    return true;
+    // meaningless in another process.
+    return !rec.run.graph;
 }
 
 std::uint64_t
@@ -180,8 +175,6 @@ encodeRunRecord(const RunRecord &rec)
     os << "scusim-run-cache " << runCacheSchemaVersion << '\n';
     putString(os, "key", rec.run.key);
     putU64(os, "ok", rec.ok ? 1 : 0);
-    putU64(os, "attempts", rec.attempts);
-    putU64(os, "backoffMs", rec.backoffMs);
     putU64(os, "hasFailure", rec.failure.has_value() ? 1 : 0);
     putU64(os, "failure",
            rec.failure
@@ -259,17 +252,11 @@ decodeRunRecordDetail(const std::string &text,
     if (!in.u64("ok", u) || u > 1)
         return DecodeOutcome::Malformed;
     tmp.ok = u != 0;
-    if (!in.u64("attempts", u))
-        return DecodeOutcome::Malformed;
-    tmp.attempts = static_cast<unsigned>(u);
-    if (!in.u64("backoffMs", u))
-        return DecodeOutcome::Malformed;
-    tmp.backoffMs = static_cast<unsigned>(u);
     std::uint64_t hasFailure = 0;
     if (!in.u64("hasFailure", hasFailure) || hasFailure > 1)
         return DecodeOutcome::Malformed;
     if (!in.u64("failure", u) ||
-        u > static_cast<std::uint64_t>(FailureKind::Timeout))
+        u > static_cast<std::uint64_t>(FailureKind::Runaway))
         return DecodeOutcome::Malformed;
     if (hasFailure)
         tmp.failure = static_cast<FailureKind>(u);
@@ -332,8 +319,6 @@ decodeRunRecordDetail(const std::string &text,
     rec.error = std::move(tmp.error);
     rec.failure = tmp.failure;
     rec.diagnostics = std::move(tmp.diagnostics);
-    rec.attempts = tmp.attempts;
-    rec.backoffMs = tmp.backoffMs;
     return DecodeOutcome::Hit;
 }
 

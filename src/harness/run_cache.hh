@@ -39,7 +39,7 @@ namespace scusim::harness
  * Bump whenever the serialized RunRecord layout changes; old cache
  * files are then rejected (miss) instead of misparsed.
  */
-constexpr unsigned runCacheSchemaVersion = 4;
+constexpr unsigned runCacheSchemaVersion = 5;
 
 /**
  * The cache directory from SCUSIM_CACHE_DIR, or "" when unset /
@@ -54,9 +54,8 @@ std::string runCachePath(const std::string &dir,
 /**
  * True when @p rec may be stored at all. Graph-backed runs are keyed
  * by a raw pointer, which is meaningless across processes, so they
- * are never written. Transient failures (Timeout) depend on host
- * load, not the run (mirrors the in-process memo policy), so they
- * are never written either.
+ * are never written. Failed runs are: every failure kind is
+ * deterministic, so a failure replays exactly as it was stored.
  */
 bool runCacheStorable(const RunRecord &rec);
 

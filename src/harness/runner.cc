@@ -1,6 +1,5 @@
 #include "harness/runner.hh"
 
-#include <chrono>
 #include <cmath>
 #include <map>
 #include <memory>
@@ -14,7 +13,6 @@
 #include "alg/sharded.hh"
 #include "alg/sssp.hh"
 #include "common/logging.hh"
-#include "common/sim_error.hh"
 #include "graph/datasets.hh"
 #include "graph/partition.hh"
 #include "stats/timeseries.hh"
@@ -96,45 +94,6 @@ validatePr(const graph::CsrGraph &g, const alg::AlgOptions &opt,
     }
     return true;
 }
-
-/**
- * Simulation-loop supervisor enforcing the run's wall-clock budget.
- * This is the one place a run consults the wall clock — it bounds
- * host time, never simulated behavior, so results stay
- * deterministic: a run either completes with its usual
- * (reproducible) result or fails with Timeout.
- */
-class WallClockSupervisor : public sim::Supervisor
-{
-  public:
-    explicit WallClockSupervisor(const RunGuards &g)
-        : guards(g),
-          // simlint: allow(nondeterminism)
-          begin(std::chrono::steady_clock::now())
-    {
-    }
-
-    void
-    checkpoint(Tick now) override
-    {
-        // simlint: allow(nondeterminism)
-        const auto wall = std::chrono::steady_clock::now();
-        const auto elapsed =
-            std::chrono::duration<double>(wall - begin);
-        if (elapsed.count() >= guards.wallSeconds) {
-            throw SimError(
-                FailureKind::Timeout,
-                strprintf("run exceeded its wall-clock budget of "
-                          "%g s at tick %llu",
-                          guards.wallSeconds,
-                          static_cast<unsigned long long>(now)));
-        }
-    }
-
-  private:
-    RunGuards guards;
-    std::chrono::steady_clock::time_point begin;
-};
 
 /** Pick a well-connected source: the first max-degree-ish node. */
 NodeId
@@ -225,20 +184,10 @@ runPrimitive(const RunConfig &cfg, const graph::CsrGraph &g)
             stats::Timeseries::Mode::Delta);
     }
 
-    if (!cfg.faults.empty()) {
-        auto inj = std::make_unique<sim::FaultInjector>(cfg.faults,
-                                                        cfg.seed);
-        for (DeviceId d = 0; d < numDev; ++d)
-            sys.memory(d).setFaultInjector(inj.get());
-        sys.simulation().installFaultInjector(std::move(inj));
-    }
     if (cfg.guards.tickBudget || cfg.guards.stallWindow) {
         sys.simulation().setWatchdog(
             {cfg.guards.tickBudget, cfg.guards.stallWindow});
     }
-    WallClockSupervisor supervisor(cfg.guards);
-    if (cfg.guards.wallSeconds > 0)
-        sys.simulation().setSupervisor(&supervisor);
 
     alg::AlgOptions opt = cfg.alg;
     opt.mode = cfg.mode;

@@ -19,7 +19,6 @@
 #include "energy/energy_model.hh"
 #include "graph/csr.hh"
 #include "harness/system.hh"
-#include "sim/fault.hh"
 #include "trace/trace.hh"
 
 namespace scusim::harness
@@ -31,22 +30,13 @@ enum class Primitive { Bfs, Sssp, Pr };
 std::string to_string(Primitive p);
 
 /**
- * Per-run supervision budgets; zero disables the respective guard.
- * Tick budgets are enforced by the simulation's watchdog (Runaway /
- * Deadlock), the wall-clock budget by a supervisor installed for the
- * run (Timeout).
+ * Per-run watchdog budgets, enforced by the simulation (Runaway /
+ * Deadlock); zero disables the respective guard.
  */
 struct RunGuards
 {
-    Tick tickBudget = 0;   ///< max absolute tick before Runaway
-    Tick stallWindow = 0;  ///< no-progress ticks before Deadlock
-    double wallSeconds = 0; ///< wall-clock budget before Timeout
-
-    bool
-    any() const
-    {
-        return tickBudget || stallWindow || wallSeconds > 0;
-    }
+    Tick tickBudget = 0;  ///< max absolute tick before Runaway
+    Tick stallWindow = 0; ///< no-progress ticks before Deadlock
 };
 
 /** Everything needed to reproduce one run. */
@@ -63,9 +53,7 @@ struct RunConfig
     std::optional<scu::ScuParams> scuOverride;
     /** Dump the full component statistics tree after the run. */
     std::ostream *dumpStatsTo = nullptr;
-    /** Faults to inject into this run (empty = pristine). */
-    sim::FaultPlan faults = {};
-    /** Supervision budgets for this run. */
+    /** Watchdog budgets for this run. */
     RunGuards guards = {};
     /**
      * Observability configuration for this run (trace ring buffers,

@@ -105,8 +105,9 @@ class InflightTable
   public:
     static constexpr unsigned kGenBits = 8;
     /**
-     * Fill ticks must be below this (56 bits), which leaves room for
-     * the 10^15-tick completions of an injected MemDelay fault.
+     * Fill ticks must be below this (56 bits, about 7.2e16 ticks,
+     * far past the 2^40-tick default run bound); set() panics on a
+     * larger one.
      */
     static constexpr Tick kTickLimit = Tick{1} << (64 - kGenBits);
 

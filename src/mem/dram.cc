@@ -5,7 +5,6 @@
 #include "common/bits.hh"
 #include "common/logging.hh"
 #include "sim/check.hh"
-#include "sim/fault.hh"
 
 namespace scusim::mem
 {
@@ -89,17 +88,6 @@ Dram::access(Tick issue, Addr addr, AccessKind kind, unsigned bytes)
     const auto [ci, bi, row] = map(addr);
     Channel &ch = chans[ci];
     Bank &bk = ch.banks[bi];
-
-    // An injected refresh storm parks the bank and closes its row —
-    // the access below then pays a full precharge/activate on top of
-    // the storm, exactly like a demand access colliding with refresh.
-    if (faultInj) {
-        const Tick storm = faultInj->dramRefreshDelay(issue);
-        if (storm) {
-            bk.readyAt = std::max(bk.readyAt, issue) + storm;
-            bk.openRow = static_cast<std::uint64_t>(-1);
-        }
-    }
 
     const bool row_hit = (bk.openRow == row);
 

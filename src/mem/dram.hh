@@ -18,11 +18,6 @@
 #include "sim/clock.hh"
 #include "stats/stats.hh"
 
-namespace scusim::sim
-{
-class FaultInjector;
-}
-
 namespace scusim::mem
 {
 
@@ -99,12 +94,6 @@ class Dram : public MemLevel
                                      >> lineShift);
     }
 
-    /**
-     * Attach the run's fault injector (non-owning, null detaches) so
-     * DramRefreshStorm faults can park a bank and close its row.
-     */
-    void setFaultInjector(sim::FaultInjector *inj) { faultInj = inj; }
-
     /** Total bytes moved on the pins (reads + writes). */
     double bytesMoved() const { return movedBytes.value(); }
 
@@ -152,7 +141,6 @@ class Dram : public MemLevel
     stats::Scalar reads, writes, rowHits, rowMisses;
     stats::Scalar busBusyCycles;
     stats::Scalar movedBytes;
-    sim::FaultInjector *faultInj = nullptr;
 };
 
 } // namespace scusim::mem

@@ -2,7 +2,6 @@
 
 #include "common/logging.hh"
 #include "sim/check.hh"
-#include "sim/fault.hh"
 #include "sim/simulation.hh"
 #include "trace/trace.hh"
 
@@ -13,7 +12,7 @@ Interconnect::Interconnect(const InterconnectParams &params,
                            unsigned devices,
                            sim::Simulation &simulation,
                            stats::StatGroup *parent)
-    : p(params), numDevices(devices), sim(simulation),
+    : p(params), numDevices(devices),
       links(static_cast<std::size_t>(devices) * devices),
       delivered(devices), grp("icn", parent),
       messages(&grp, "messages", "boundary messages moved"),
@@ -25,7 +24,7 @@ Interconnect::Interconnect(const InterconnectParams &params,
              "interconnect bytesPerTick must be nonzero");
     for (Link &l : links)
         l.q.setCapacity(p.queueCapacity);
-    sim.addClocked(this, "icn");
+    simulation.addClocked(this, "icn");
 }
 
 Interconnect::Link &
@@ -62,10 +61,7 @@ Interconnect::send(const IcnMessage &m, Tick now)
         1, (m.bytes + p.bytesPerTick - 1) / p.bytesPerTick);
     l.nextFree = depart + ser;
 
-    Tick extra = 0;
-    if (auto *inj = sim.faultInjector())
-        extra = inj->linkExtraDelay(now);
-    const Tick arrive = depart + ser + p.latency + extra;
+    const Tick arrive = depart + ser + p.latency;
     sim::checkMemCompletion("interconnect", now, arrive);
 
     l.q.push(InFlight{m, arrive});

@@ -112,7 +112,6 @@ class Interconnect : public sim::Clocked
 
     InterconnectParams p;
     unsigned numDevices;
-    sim::Simulation &sim;
     std::vector<Link> links; ///< numDevices^2, src-major
     std::vector<std::vector<IcnMessage>> delivered; ///< per dst
 

@@ -1,7 +1,6 @@
 #include "mem/mem_system.hh"
 
 #include "sim/check.hh"
-#include "sim/fault.hh"
 #include "trace/trace.hh"
 
 namespace scusim::mem
@@ -30,19 +29,9 @@ MemSystem::access(Tick issue, Addr addr, AccessKind kind,
                   unsigned bytes)
 {
     ++requests;
-    // An injected interconnect stall delays the request crossing; the
-    // response then completes late enough to trip the tick budget.
-    Tick icnExtra = 0;
-    if (faultInj)
-        icnExtra = faultInj->icnExtraDelay(issue);
-    MemResult r =
-        l2Cache.access(issue + icnLat + icnExtra, addr, kind, bytes);
+    MemResult r = l2Cache.access(issue + icnLat, addr, kind, bytes);
     if (kind != AccessKind::Write)
         r.complete += icnLat; // response network crossing
-    // Posted writes are excluded: nothing waits on their completion
-    // tick, so a perturbed one could never be observed.
-    if (faultInj && kind != AccessKind::Write)
-        r.complete = faultInj->adjustMemCompletion(issue, r.complete);
     sim::checkMemCompletion("memsys", issue, r.complete);
     TRACE_EVENT_SPAN(traceChan, trace::Category::Mem,
                      kind == AccessKind::Write ||

@@ -17,11 +17,6 @@
 #include "sim/clock.hh"
 #include "stats/stats.hh"
 
-namespace scusim::sim
-{
-class FaultInjector;
-}
-
 namespace scusim::trace
 {
 class TraceChannel;
@@ -52,19 +47,6 @@ class MemSystem : public MemLevel
 
     MemResult access(Tick issue, Addr addr, AccessKind kind,
                      unsigned bytes) override;
-
-    /**
-     * Attach the run's fault injector (non-owning, null detaches).
-     * Lets MemDelay / MemReorder faults perturb completion ticks,
-     * IcnDelay faults stall the interconnect crossing, and
-     * DramRefreshStorm faults park a DRAM bank (forwarded to Dram).
-     */
-    void
-    setFaultInjector(sim::FaultInjector *inj)
-    {
-        faultInj = inj;
-        dramModel.setFaultInjector(inj);
-    }
 
     /** Bind this component's trace channel ("memsys",
      *  device-prefixed on multi-device systems). */
@@ -105,7 +87,6 @@ class MemSystem : public MemLevel
     Dram dramModel;
     Cache l2Cache;
     stats::Scalar requests;
-    sim::FaultInjector *faultInj = nullptr;
     trace::TraceChannel *traceChan = nullptr;
 };
 

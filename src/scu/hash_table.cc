@@ -1,41 +1,10 @@
 #include "scu/hash_table.hh"
 
-#include <bit>
-
 #include "common/logging.hh"
 #include "sim/check.hh"
 
 namespace scusim::scu
 {
-
-namespace
-{
-
-/** Even/odd parity bit of a 64-bit payload. */
-std::uint8_t
-parityOf(std::uint64_t v)
-{
-    return static_cast<std::uint8_t>(std::popcount(v) & 1);
-}
-
-/**
- * Verify one way's stored parity against its actual contents. Models
- * the ECC/parity check a hardware hash table performs on each probe;
- * a mismatch means the entry changed outside the probe path (a
- * fault).
- */
-void
-checkEntryParity([[maybe_unused]] const char *what,
-                 [[maybe_unused]] unsigned way, std::uint8_t shadow,
-                 std::uint64_t payload)
-{
-    sim_check(shadow == parityOf(payload),
-              "%s parity mismatch in way %u: entry was corrupted "
-              "outside the probe path",
-              what, way);
-}
-
-} // namespace
 
 HashTableBase::HashTableBase(const HashConfig &config,
                              mem::AddressSpace &as,
@@ -57,8 +26,6 @@ UniqueFilterTable::UniqueFilterTable(const HashConfig &cfg,
     : HashTableBase(cfg, as, name),
       entries(sets * cfg.ways, emptyKey)
 {
-    if constexpr (sim::checksEnabled)
-        parity.assign(entries.size(), parityOf(emptyKey));
 }
 
 bool
@@ -67,13 +34,6 @@ UniqueFilterTable::probe(std::uint32_t key, ProbeTraffic &traffic)
     const std::uint64_t s = setOf(key);
     traffic.setAddr = setAddr(s);
     auto *way0 = &entries[s * cfg.ways];
-
-    if constexpr (sim::checksEnabled) {
-        for (unsigned w = 0; w < cfg.ways; ++w) {
-            checkEntryParity("unique filter table", w,
-                             parity[s * cfg.ways + w], way0[w]);
-        }
-    }
 
     // Match only the occupied ways (ctz walks them in the same
     // ascending order the full-width scan used to).
@@ -92,42 +52,15 @@ UniqueFilterTable::probe(std::uint32_t key, ProbeTraffic &traffic)
     // accepted trade-off.
     way0[victim] = key;
     markOccupied(s, victim);
-    if constexpr (sim::checksEnabled)
-        parity[s * cfg.ways + victim] = parityOf(key);
     traffic.wrote = true;
     return true;
 }
-
-void
-UniqueFilterTable::corruptForKey(std::uint32_t key, Rng &rng)
-{
-    const std::uint64_t s = setOf(key);
-    const std::uint64_t idx = s * cfg.ways + rng.below(cfg.ways);
-    entries[idx] ^= std::uint32_t{1} << rng.below(32);
-}
-
-namespace
-{
-
-/** 64-bit payload of a best-cost entry for parity computation. */
-std::uint64_t
-entryPayload(std::uint32_t key, std::uint32_t cost)
-{
-    return (static_cast<std::uint64_t>(key) << 32) | cost;
-}
-
-} // namespace
 
 BestCostFilterTable::BestCostFilterTable(const HashConfig &cfg,
                                          mem::AddressSpace &as,
                                          const std::string &name)
     : HashTableBase(cfg, as, name), entries(sets * cfg.ways)
 {
-    if constexpr (sim::checksEnabled) {
-        parity.assign(entries.size(),
-                      parityOf(entryPayload(Entry{}.key,
-                                            Entry{}.cost)));
-    }
 }
 
 bool
@@ -138,28 +71,11 @@ BestCostFilterTable::probe(std::uint32_t key, std::uint32_t cost,
     traffic.setAddr = setAddr(s);
     auto *way0 = &entries[s * cfg.ways];
 
-    if constexpr (sim::checksEnabled) {
-        for (unsigned w = 0; w < cfg.ways; ++w) {
-            checkEntryParity("best-cost filter table", w,
-                             parity[s * cfg.ways + w],
-                             entryPayload(way0[w].key,
-                                          way0[w].cost));
-        }
-    }
-
-    auto record = [&](unsigned w) {
-        if constexpr (sim::checksEnabled) {
-            parity[s * cfg.ways + w] =
-                parityOf(entryPayload(way0[w].key, way0[w].cost));
-        }
-    };
-
     for (std::uint64_t m = occ[s]; m; m &= m - 1) {
         const unsigned w = ctz64(m);
         if (way0[w].key == key) {
             if (cost < way0[w].cost) {
                 way0[w].cost = cost;
-                record(w);
                 traffic.wrote = true;
                 return true;
             }
@@ -172,21 +88,8 @@ BestCostFilterTable::probe(std::uint32_t key, std::uint32_t cost,
         empties ? ctz64(empties) : victimWay(key);
     way0[victim] = {key, cost};
     markOccupied(s, victim);
-    record(victim);
     traffic.wrote = true;
     return true;
-}
-
-void
-BestCostFilterTable::corruptForKey(std::uint32_t key, Rng &rng)
-{
-    const std::uint64_t s = setOf(key);
-    Entry &e = entries[s * cfg.ways + rng.below(cfg.ways)];
-    const std::uint64_t bit = rng.below(64);
-    if (bit < 32)
-        e.cost ^= std::uint32_t{1} << bit;
-    else
-        e.key ^= std::uint32_t{1} << (bit - 32);
 }
 
 GroupingTable::GroupingTable(const HashConfig &cfg,

@@ -24,7 +24,6 @@
 #include <vector>
 
 #include "common/bits.hh"
-#include "common/rng.hh"
 #include "common/types.hh"
 #include "mem/address_space.hh"
 #include "scu/scu_config.hh"
@@ -81,8 +80,7 @@ class HashTableBase
     /**
      * Clear all entries (start of a new compaction pass). Only the
      * occupancy words are cleared: probes match only occupied ways,
-     * so a stale entry is never matched again, and it keeps the
-     * parity its last write recorded.
+     * so a stale entry is never matched again.
      */
     virtual void reset() { std::fill(occ.begin(), occ.end(), 0); }
 
@@ -124,22 +122,10 @@ class UniqueFilterTable : public HashTableBase
      */
     bool probe(std::uint32_t key, ProbeTraffic &traffic);
 
-    /**
-     * Fault-injection hook: flip one random bit in a random way of
-     * the set @p key maps to, without updating the shadow parity.
-     * The next probe touching that set detects the mismatch (checked
-     * builds; in unchecked builds the corruption goes unnoticed,
-     * which is exactly the silent-corruption scenario the parity
-     * models).
-     */
-    void corruptForKey(std::uint32_t key, Rng &rng);
-
   private:
     static constexpr std::uint32_t emptyKey =
         static_cast<std::uint32_t>(-1);
     std::vector<std::uint32_t> entries; ///< sets x ways ids
-    /** Shadow per-entry parity bit (checked builds only). */
-    std::vector<std::uint8_t> parity;
 };
 
 /** Unique-best-cost filter (SSSP configuration, Section 4.2). */
@@ -156,9 +142,6 @@ class BestCostFilterTable : public HashTableBase
     bool probe(std::uint32_t key, std::uint32_t cost,
                ProbeTraffic &traffic);
 
-    /** Fault-injection hook; see UniqueFilterTable::corruptForKey. */
-    void corruptForKey(std::uint32_t key, Rng &rng);
-
   private:
     struct Entry
     {
@@ -166,8 +149,6 @@ class BestCostFilterTable : public HashTableBase
         std::uint32_t cost = 0;
     };
     std::vector<Entry> entries;
-    /** Shadow per-entry parity bit (checked builds only). */
-    std::vector<std::uint8_t> parity;
 };
 
 /** Grouping table (Section 4.3). */

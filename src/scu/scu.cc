@@ -4,7 +4,6 @@
 
 #include "common/logging.hh"
 #include "trace/trace.hh"
-#include "sim/fault.hh"
 #include "sim/simulation.hh"
 
 namespace scusim::scu
@@ -141,25 +140,13 @@ Scu::emitStream(const std::vector<std::uint32_t> &produced,
             unique ? p.filterBfsHash : p.filterSsspHash;
         const unsigned set_bytes =
             std::min(128u, hash.ways * hash.entryBytes);
-        // Armed HashCorrupt faults strike the set the next probe
-        // touches, so the parity check is guaranteed to see the
-        // flipped bit (checked builds).
-        sim::FaultInjector *const inj = sim.faultInjector();
         opt.keepOut->assign(n, 1);
         for (std::size_t k = 0; k < n; ++k) {
             ProbeTraffic traffic;
-            bool keep;
-            if (unique) {
-                if (inj && inj->fireHashCorrupt(sim.now()))
-                    unique->corruptForKey(produced[k], inj->rng());
-                keep = unique->probe(produced[k], traffic);
-            } else {
-                if (inj && inj->fireHashCorrupt(sim.now()))
-                    costTable->corruptForKey(produced[k],
-                                             inj->rng());
-                keep = costTable->probe(produced[k], opt.costs[k],
-                                        traffic);
-            }
+            const bool keep =
+                unique ? unique->probe(produced[k], traffic)
+                       : costTable->probe(produced[k], opt.costs[k],
+                                          traffic);
             pipe.hashAccess(traffic.setAddr, traffic.wrote,
                             set_bytes);
             ++st.hashProbes;

@@ -5,7 +5,6 @@
 
 #include "common/logging.hh"
 #include "common/sim_error.hh"
-#include "sim/fault.hh"
 #include "stats/timeseries.hh"
 #include "trace/trace.hh"
 
@@ -34,12 +33,6 @@ Clocked::notifyWake()
 {
     if (schedOwner)
         schedOwner->wakeComponent(schedIndex);
-}
-
-void
-Simulation::installFaultInjector(std::unique_ptr<FaultInjector> inj)
-{
-    injector = std::move(inj);
 }
 
 void
@@ -78,11 +71,7 @@ Simulation::diagnosticDump() const
             os << "never";
         else
             os << wake;
-        os << " progress=" << c->progressCount();
-        if (injector &&
-            injector->frozen(static_cast<unsigned>(i), currentTick))
-            os << " [frozen by fault injector]";
-        os << "\n";
+        os << " progress=" << c->progressCount() << "\n";
     }
     os << "events: pending=" << eq.size() << " next=";
     if (eq.nextTick() == tickNever)
@@ -90,8 +79,6 @@ Simulation::diagnosticDump() const
     else
         os << eq.nextTick();
     os << " serviced=" << eq.serviced();
-    if (injector)
-        os << "\n" << injector->summary();
     // On a hang the most recent trace events are the closest thing to
     // a flight recorder — attach the tail of every ring buffer.
     if (tracer)
@@ -154,15 +141,6 @@ Simulation::stepOnce()
     }
     for (std::size_t idx : readyScratch) {
         Clocked *c = clockedList[idx];
-        if (injector &&
-            injector->frozen(static_cast<unsigned>(idx),
-                             currentTick)) {
-            // A frozen component keeps claiming to be busy but is
-            // never ticked: it stays due every tick so the loop keeps
-            // spinning until the deadlock watchdog fires.
-            armed[idx] = currentTick + 1;
-            continue;
-        }
         if (c->busy(currentTick)) {
             c->noteTick(currentTick);
             c->tick(currentTick);
@@ -210,10 +188,6 @@ Simulation::run(Tick max_ticks)
     // wake once so the scan starts accurate.
     rearmAll();
     while (true) {
-        if (injector)
-            injector->checkPanic(currentTick);
-        if (supervisor && (iters++ & 1023) == 0)
-            supervisor->checkpoint(currentTick);
         Tick next = nextInterestingTick();
         if (next == tickNever)
             break;
@@ -222,6 +196,7 @@ Simulation::run(Tick max_ticks)
             currentTick = next;
         }
         stepOnce();
+        ++iters;
         if (!timeseries.empty())
             sampleTimeseries(currentTick);
         const bool over_budget =
@@ -262,8 +237,6 @@ Simulation::advanceTo(Tick t)
 {
     if (t <= currentTick)
         return;
-    if (injector)
-        injector->checkPanic(currentTick);
     if (wd.tickBudget && t > wd.tickBudget) {
         reportFailure(
             FailureKind::Runaway,
@@ -277,8 +250,6 @@ Simulation::advanceTo(Tick t)
     currentTick = t;
     if (!timeseries.empty())
         sampleTimeseries(currentTick);
-    if (supervisor)
-        supervisor->checkpoint(currentTick);
 }
 
 } // namespace scusim::sim

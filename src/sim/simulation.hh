@@ -2,7 +2,7 @@
  * @file
  * Top-level simulation driver: owns the notion of "now", steps all
  * registered Clocked components, fast-forwards across idle gaps and
- * — when supervised — watches its own progress: a run that exceeds
+ * — when a watchdog is armed — watches its own progress: a run that exceeds
  * its tick budget is reported as a *runaway*, a run whose busy
  * components stop making progress as a *deadlock*, both with a
  * per-component diagnostic dump instead of a bare fatal.
@@ -33,8 +33,6 @@ class TraceSink;
 namespace scusim::sim
 {
 
-class FaultInjector;
-
 /** Progress-watchdog thresholds; 0 disables the respective check. */
 struct WatchdogConfig
 {
@@ -45,21 +43,6 @@ struct WatchdogConfig
      * event progress before it is declared deadlocked.
      */
     Tick stallWindow = 0;
-};
-
-/**
- * Periodic callback hook of the harness into the simulation loop —
- * the wall-clock budget lives behind it so the sim layer itself
- * never reads the wall clock. A checkpoint that cannot let the run
- * continue throws SimError(Timeout).
- */
-class Supervisor
-{
-  public:
-    virtual ~Supervisor() = default;
-
-    /** Called periodically from run()/advanceTo(). */
-    virtual void checkpoint(Tick now) = 0;
 };
 
 /**
@@ -83,15 +66,6 @@ class Simulation
 
     /** Arm the progress watchdog for this run. */
     void setWatchdog(const WatchdogConfig &w) { wd = w; }
-
-    /** Install the harness supervisor (null detaches). */
-    void setSupervisor(Supervisor *s) { supervisor = s; }
-
-    /** Install a fault injector for this run (takes ownership). */
-    void installFaultInjector(std::unique_ptr<FaultInjector> inj);
-
-    /** The run's fault injector, or null (the common case). */
-    FaultInjector *faultInjector() const { return injector.get(); }
 
     /**
      * Install the run's trace sink (takes ownership; null detaches).
@@ -141,8 +115,8 @@ class Simulation
      * components that compute their completion time analytically
      * (the SCU pipeline) while the cycle-stepped components are
      * drained. Pending events up to @p t are serviced; the watchdog
-     * tick budget and the supervisor are consulted, so an
-     * analytically-runaway completion tick is caught too.
+     * tick budget is consulted, so an analytically-runaway completion
+     * tick is caught too.
      */
     void advanceTo(Tick t);
 
@@ -172,8 +146,6 @@ class Simulation
     std::vector<Clocked *> clockedList;
     std::vector<std::string> clockedNames;
     WatchdogConfig wd;
-    Supervisor *supervisor = nullptr;
-    std::unique_ptr<FaultInjector> injector;
     std::unique_ptr<trace::TraceSink> tracer;
     trace::TraceChannel *simChan = nullptr;
     std::vector<stats::Timeseries *> timeseries;

@@ -88,7 +88,7 @@ TEST(Hash, Fnv1aReferenceVectors)
 TEST(Hash, CacheFileNamesAndPartitionFingerprintsArePinned)
 {
     EXPECT_EQ(harness::runCachePath("d", "pinned-key"),
-              "d/0ef84b0e9f02645f.run");
+              "d/af3557b2dd248b44.run");
 
     EXPECT_EQ(graph::GraphPartition::build(graph::referenceGraph(), 2)
                   .fingerprint(),

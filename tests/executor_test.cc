@@ -3,8 +3,8 @@
  * Tests of the parallel executor: serial and parallel executions of
  * the same plan must produce bit-identical results (and byte-equal
  * JSON artifacts), result order must follow plan order regardless of
- * completion order, and memoization must share run results across
- * runPlan() calls.
+ * completion order, memoization must share run results across
+ * runPlan() calls, and a failed run must fail only its own cell.
  */
 
 #include <gtest/gtest.h>
@@ -12,6 +12,8 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdlib>
+#include <filesystem>
+#include <fstream>
 #include <sstream>
 
 #include "harness/executor.hh"
@@ -42,6 +44,38 @@ jsonOf(const PlanResults &res)
     std::ostringstream os;
     writeRunsJson(os, res);
     return os.str();
+}
+
+/** The smallest real workload: BFS on cond at 1% scale. */
+RunConfig
+tinyConfig(ScuMode mode = ScuMode::GpuOnly)
+{
+    RunConfig cfg;
+    cfg.systemName = "GTX980";
+    cfg.mode = mode;
+    cfg.primitive = Primitive::Bfs;
+    cfg.dataset = "cond";
+    cfg.scale = 0.01;
+    return cfg;
+}
+
+/** tinyConfig() with a tick budget far below its drain tick. */
+RunConfig
+runawayConfig(ScuMode mode = ScuMode::GpuOnly)
+{
+    RunConfig cfg = tinyConfig(mode);
+    cfg.guards.tickBudget = 1000;
+    return cfg;
+}
+
+void
+expectFailure(const RunRecord &rec, FailureKind want)
+{
+    EXPECT_FALSE(rec.ok) << rec.run.label << " unexpectedly ok";
+    ASSERT_TRUE(rec.failure.has_value())
+        << rec.run.label << ": unclassified error: " << rec.error;
+    EXPECT_EQ(*rec.failure, want)
+        << rec.run.label << ": " << rec.error;
 }
 
 } // namespace
@@ -170,30 +204,103 @@ TEST(Executor, DuplicateKeysShareOneExecution)
     EXPECT_TRUE(res.byLabel("first-label").validated);
 }
 
-TEST(Backoff, DeterministicJitteredExponentialWithCap)
+TEST(Executor, GuardedRunsKeyApart)
 {
-    // Pure function of (seed, attempt): the same inputs give the
-    // same delay on every host, so retried plans stay reproducible.
-    for (unsigned a = 1; a <= 8; ++a)
-        EXPECT_EQ(retryBackoffMs(42, a, 25, 2000),
-                  retryBackoffMs(42, a, 25, 2000));
-    // Jitter lands in [nominal/2, nominal] where nominal doubles per
-    // attempt until the cap.
-    for (unsigned a = 1; a <= 12; ++a) {
-        const unsigned nominal =
-            std::min<unsigned>(2000, 25u << (a - 1));
-        const unsigned d = retryBackoffMs(7, a, 25, 2000);
-        EXPECT_GE(d, nominal / 2) << "attempt " << a;
-        EXPECT_LE(d, nominal) << "attempt " << a;
+    // A tick budget decides whether a run completes, so a guarded
+    // cell must never share a memo entry with its pristine twin,
+    // whichever of the two runs first.
+    const RunConfig pristine = tinyConfig();
+    const RunConfig guarded = runawayConfig();
+    const auto both = ExperimentPlan()
+                          .add(pristine, "pristine")
+                          .add(guarded, "guarded")
+                          .expand();
+    ASSERT_EQ(both.size(), 2u);
+    EXPECT_NE(both[0].key, both[1].key);
+
+    const ExecutorOptions opts{.jobs = 1, .memoize = true,
+                               .diskCache = false};
+    for (const bool guardedFirst : {false, true}) {
+        clearRunMemo();
+        PlanResults ok, failed;
+        if (guardedFirst)
+            failed = runPlan(ExperimentPlan().add(guarded), opts);
+        ok = runPlan(ExperimentPlan().add(pristine), opts);
+        if (!guardedFirst)
+            failed = runPlan(ExperimentPlan().add(guarded), opts);
+        ASSERT_EQ(ok.size(), 1u);
+        ASSERT_EQ(failed.size(), 1u);
+        EXPECT_TRUE(ok.records()[0].ok)
+            << "guarded first: " << guardedFirst << ": "
+            << ok.records()[0].error;
+        EXPECT_TRUE(ok.records()[0].result.validated);
+        expectFailure(failed.records()[0], FailureKind::Runaway);
     }
-    // Different seeds or attempts de-synchronize retry storms: at
-    // least one delay in a small sweep must differ.
-    bool varies = false;
-    for (std::uint64_t s = 0; s < 16 && !varies; ++s)
-        varies = retryBackoffMs(s, 4, 25, 2000) !=
-                 retryBackoffMs(s + 16, 4, 25, 2000);
-    EXPECT_TRUE(varies);
-    // baseMs == 0 is the historical immediate retry.
-    EXPECT_EQ(retryBackoffMs(1, 1, 0, 2000), 0u);
-    EXPECT_EQ(retryBackoffMs(1, 5, 0, 2000), 0u);
+    clearRunMemo();
+}
+
+TEST(Degradation, FaultedCellDoesNotPoisonTheMatrix)
+{
+    ExperimentPlan p;
+    p.add(tinyConfig(ScuMode::GpuOnly));
+    p.add(tinyConfig(ScuMode::ScuBasic));
+    p.add(runawayConfig(ScuMode::ScuEnhanced));
+
+    auto res = runPlan(p, {.jobs = 2, .memoize = false});
+    ASSERT_EQ(res.size(), 3u);
+    EXPECT_EQ(res.failures(), 1u);
+    EXPECT_TRUE(res.records().at(0).ok);
+    EXPECT_TRUE(res.records().at(1).ok);
+    expectFailure(res.records().at(2), FailureKind::Runaway);
+
+    // The ok-aware accessors benches render failed cells with.
+    EXPECT_NE(res.tryGet("GTX980", Primitive::Bfs, "cond",
+                         ScuMode::GpuOnly),
+              nullptr);
+    EXPECT_EQ(res.tryGet("GTX980", Primitive::Bfs, "cond",
+                         ScuMode::ScuEnhanced),
+              nullptr);
+    const RunRecord *cell = res.cell("GTX980", Primitive::Bfs,
+                                     "cond", ScuMode::ScuEnhanced);
+    ASSERT_NE(cell, nullptr);
+    EXPECT_FALSE(cell->ok);
+    ASSERT_TRUE(cell->failure.has_value());
+    EXPECT_EQ(*cell->failure, FailureKind::Runaway);
+    EXPECT_EQ(res.record(res.records().at(2).run.label), cell);
+    EXPECT_EQ(res.tryByLabel(res.records().at(2).run.label),
+              nullptr);
+
+    // The machine-readable failure report names the bad cell.
+    std::ostringstream os;
+    writeFailureReport(os, res);
+    EXPECT_NE(os.str().find("\"failureKind\":\"runaway\""),
+              std::string::npos)
+        << os.str();
+}
+
+TEST(Degradation, FailureReportArtifactIsWritten)
+{
+    ExperimentPlan p;
+    p.add(runawayConfig());
+    auto res = runPlan(p, {.jobs = 1, .memoize = false});
+    ASSERT_EQ(res.failures(), 1u);
+
+    const std::filesystem::path dir = "executor_test_artifacts";
+    std::filesystem::create_directories(dir);
+    ::setenv("SCUSIM_ARTIFACT_DIR", dir.c_str(), 1);
+    Table t("failure artifact test");
+    t.header({"col"});
+    t.row({"val"});
+    writeArtifact("failure_probe", res, {&t});
+    ::unsetenv("SCUSIM_ARTIFACT_DIR");
+
+    std::ifstream f(dir / "failure_probe.failures.json");
+    ASSERT_TRUE(f.good()) << "failure report not written";
+    std::stringstream ss;
+    ss << f.rdbuf();
+    EXPECT_NE(ss.str().find("\"failureKind\":\"runaway\""),
+              std::string::npos)
+        << ss.str();
+    f.close();
+    std::filesystem::remove_all(dir);
 }

@@ -84,7 +84,6 @@ sampleRecord()
     RunRecord rec;
     rec.run.key = "BFS|TX1|cond|0.01|1|scu";
     rec.ok = true;
-    rec.attempts = 2;
     rec.result.totalCycles = 123456789;
     rec.result.seconds = 0.1234567890123456789;
     rec.result.energy.gpuDynamicJ = 1.5e-3;
@@ -116,7 +115,6 @@ TEST(RunCacheCodec, EncodeDecodeRoundTripsEveryField)
     ASSERT_TRUE(decodeRunRecord(encodeRunRecord(rec), rec.run.key,
                                 back));
     EXPECT_EQ(back.ok, rec.ok);
-    EXPECT_EQ(back.attempts, rec.attempts);
     EXPECT_EQ(back.failure, rec.failure);
     EXPECT_EQ(back.error, rec.error);
     EXPECT_EQ(back.result.totalCycles, rec.result.totalCycles);
@@ -166,15 +164,15 @@ TEST(RunCacheCodec, RejectsKeyMismatchAndGarbage)
     // Failure codes past the last FailureKind are not guessed at.
     RunRecord failed = sampleRecord();
     failed.ok = false;
-    failed.failure = FailureKind::Timeout;
+    failed.failure = FailureKind::Runaway;
     const std::string failedText = encodeRunRecord(failed);
+    const int last = static_cast<int>(FailureKind::Runaway);
     const std::string lastKind =
-        "\nfailure " +
-        std::to_string(static_cast<int>(FailureKind::Timeout)) + "\n";
+        "\nfailure " + std::to_string(last) + "\n";
     const std::size_t at = failedText.find(lastKind);
     ASSERT_NE(at, std::string::npos);
     ASSERT_TRUE(decodeRunRecord(failedText, failed.run.key, back));
-    for (int code : {5, 6}) {
+    for (int code : {last + 1, last + 2}) {
         std::string bad = failedText;
         bad.replace(at, lastKind.size(),
                     "\nfailure " + std::to_string(code) + "\n");
@@ -201,10 +199,13 @@ TEST(RunCache, StorabilityPolicy)
 {
     RunRecord rec = sampleRecord();
     EXPECT_TRUE(runCacheStorable(rec));
-    // Timeouts are transient: caching one would make it permanent.
-    rec.failure = FailureKind::Timeout;
-    EXPECT_FALSE(runCacheStorable(rec));
-    rec.failure.reset();
+    // Every failure kind is deterministic, so failures are cached.
+    rec.ok = false;
+    for (FailureKind k : {FailureKind::Panic, FailureKind::Invariant,
+                          FailureKind::Deadlock, FailureKind::Runaway}) {
+        rec.failure = k;
+        EXPECT_TRUE(runCacheStorable(rec)) << to_string(k);
+    }
     // Graph-backed keys embed a raw pointer — useless across
     // processes.
     graph::CsrGraph g;

@@ -1,7 +1,8 @@
 /**
  * @file
  * Unit tests for the simulation kernel: event queue ordering, clock
- * domain conversions and the fast-forwarding run and step loops.
+ * domain conversions, the fast-forwarding run and step loops, the
+ * thread-local error trap and the progress watchdog.
  */
 
 #include <gtest/gtest.h>
@@ -9,13 +10,15 @@
 #include <algorithm>
 #include <map>
 #include <memory>
+#include <string>
 #include <vector>
 
+#include "common/logging.hh"
 #include "common/rng.hh"
+#include "common/sim_error.hh"
 #include "sim/clock.hh"
 #include "sim/clocked.hh"
 #include "sim/event_queue.hh"
-#include "sim/fault.hh"
 #include "sim/simulation.hh"
 
 using namespace scusim;
@@ -90,7 +93,14 @@ class CountdownClocked : public Clocked
   public:
     explicit CountdownClocked(int n) : remaining(n) {}
 
-    void tick(Tick) override { --remaining; ++ticked; }
+    void
+    tick(Tick) override
+    {
+        --remaining;
+        ++ticked;
+        noteProgress();
+    }
+
     bool busy(Tick) const override { return remaining > 0; }
 
     int remaining;
@@ -188,7 +198,9 @@ struct Serviced
 /**
  * A component with a script of work: at each wake tick it turns busy
  * for a number of ticks. Events may add work at any time, calling
- * notifyWake() as out-of-band work arrival requires.
+ * notifyWake() as out-of-band work arrival requires. From tick
+ * `freezeAt` on it is wedged: busy forever, but its ticks do no work
+ * and log nothing.
  */
 class ScriptedClocked : public Clocked
 {
@@ -206,6 +218,8 @@ class ScriptedClocked : public Clocked
     void
     tick(Tick now) override
     {
+        if (now >= freezeAt)
+            return;
         log.push_back({now, id});
         auto it = work.begin();
         if (--it->second == 0)
@@ -216,14 +230,18 @@ class ScriptedClocked : public Clocked
     bool
     busy(Tick now) const override
     {
-        return !work.empty() && work.begin()->first <= now;
+        return now >= freezeAt ||
+               (!work.empty() && work.begin()->first <= now);
     }
 
     Tick
     nextWakeTick() const override
     {
-        return work.empty() ? tickNever : work.begin()->first;
+        return std::min(freezeAt, work.empty() ? tickNever
+                                               : work.begin()->first);
     }
+
+    Tick freezeAt = tickNever;
 
   private:
     int id;
@@ -240,14 +258,6 @@ struct StepScenario
 {
     StepScenario(std::uint64_t seed, bool freeze) : rng(seed)
     {
-        if (freeze) {
-            FaultPlan plan;
-            plan.add({.kind = FaultKind::ComponentFreeze,
-                      .at = 700,
-                      .target = 2});
-            sim.installFaultInjector(
-                std::make_unique<FaultInjector>(plan, seed));
-        }
         for (int i = 0; i < 6; ++i) {
             comps.push_back(std::make_unique<ScriptedClocked>(i, log));
             for (int w = 0; w < 8; ++w)
@@ -255,6 +265,8 @@ struct StepScenario
                                    static_cast<int>(rng.range(1, 20)));
             sim.addClocked(comps.back().get());
         }
+        if (freeze)
+            comps[2]->freezeAt = 700;
         for (int e = 0; e < 120; ++e)
             schedule(rng.below(3000));
     }
@@ -336,4 +348,115 @@ TEST(Simulation, StepMatchesSingleSteps)
     // in the same order, as n calls of step(1).
     expectStepMatchesSingleSteps(false);
     expectStepMatchesSingleSteps(true);
+}
+
+TEST(ErrorTrap, NestsAndRestores)
+{
+    EXPECT_FALSE(errorTrapActive());
+    {
+        ErrorTrapGuard outer;
+        EXPECT_TRUE(errorTrapActive());
+        {
+            ErrorTrapGuard inner;
+            EXPECT_TRUE(errorTrapActive());
+        }
+        EXPECT_TRUE(errorTrapActive());
+    }
+    EXPECT_FALSE(errorTrapActive());
+}
+
+TEST(ErrorTrap, PanicThrowsSimErrorUnderTrap)
+{
+    ErrorTrapGuard trap;
+    try {
+        panic("boom %d", 42);
+        FAIL() << "panic returned";
+    } catch (const SimError &e) {
+        EXPECT_EQ(e.kind(), FailureKind::Panic);
+        EXPECT_NE(std::string(e.what()).find("boom 42"),
+                  std::string::npos);
+    }
+}
+
+TEST(ErrorTrap, ReportFailureCarriesKindAndDiagnostics)
+{
+    ErrorTrapGuard trap;
+    try {
+        reportFailure(FailureKind::Deadlock, "stuck", "dump line");
+        FAIL() << "reportFailure returned";
+    } catch (const SimError &e) {
+        EXPECT_EQ(e.kind(), FailureKind::Deadlock);
+        EXPECT_EQ(e.diagnostics(), "dump line");
+        EXPECT_STREQ(to_string(e.kind()), "deadlock");
+    }
+}
+
+namespace
+{
+
+/** Busy forever; makes progress only when asked to. */
+struct Spinner : Clocked
+{
+    bool productive = false;
+
+    void
+    tick(Tick) override
+    {
+        if (productive)
+            noteProgress();
+    }
+
+    bool busy(Tick) const override { return true; }
+};
+
+} // namespace
+
+TEST(Watchdog, BusyWithoutProgressIsDeadlock)
+{
+    Simulation s;
+    Spinner c;
+    s.addClocked(&c, "spinner");
+    s.setWatchdog({.tickBudget = 0, .stallWindow = 64});
+    ErrorTrapGuard trap;
+    try {
+        s.run(1 << 20);
+        FAIL() << "deadlock not detected";
+    } catch (const SimError &e) {
+        EXPECT_EQ(e.kind(), FailureKind::Deadlock);
+        // The dump names the hung component and its busy state.
+        EXPECT_NE(e.diagnostics().find("spinner"),
+                  std::string::npos)
+            << e.diagnostics();
+        EXPECT_NE(e.diagnostics().find("busy=yes"),
+                  std::string::npos)
+            << e.diagnostics();
+    }
+}
+
+TEST(Watchdog, TickBudgetExceededIsRunaway)
+{
+    Simulation s;
+    Spinner c;
+    c.productive = true; // progress forever: not a deadlock
+    s.addClocked(&c, "spinner");
+    s.setWatchdog({.tickBudget = 128, .stallWindow = 1 << 20});
+    ErrorTrapGuard trap;
+    try {
+        s.run();
+        FAIL() << "runaway not detected";
+    } catch (const SimError &e) {
+        EXPECT_EQ(e.kind(), FailureKind::Runaway);
+        EXPECT_FALSE(e.diagnostics().empty());
+    }
+}
+
+TEST(Watchdog, HealthyRunDrainsUnmolested)
+{
+    Simulation s;
+    CountdownClocked c(16);
+    s.addClocked(&c, "countdown");
+    s.setWatchdog({.tickBudget = 1 << 20, .stallWindow = 64});
+    ErrorTrapGuard trap;
+    EXPECT_NO_THROW(s.run());
+    EXPECT_EQ(c.remaining, 0);
 }

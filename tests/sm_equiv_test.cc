@@ -22,13 +22,13 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "common/bits.hh"
 #include "common/hash.hh"
 #include "gpu/sm.hh"
 #include "mem/mem_system.hh"
 #include "sim/clock.hh"
-#include "sim/fault.hh"
 #include "sim/simulation.hh"
 #include "stats/stats.hh"
 
@@ -58,7 +58,7 @@ struct SmRig
         : params(tx1With(tweak)),
           clk(params.freqHz), root("t"),
           mem(params.memsys, clk, &root),
-          sm(params, 0, &mem, &root, &sim)
+          sm(params, 0, &mem, &root)
     {
         sim.addClocked(&sm, "sm0");
     }
@@ -153,7 +153,7 @@ makeSource(std::uint64_t count)
 struct Drive
 {
     std::uint64_t serviced = 0; ///< ticks the SM was ticked
-    std::uint64_t stalled = 0;  ///< of those, ticks a fault froze
+    std::uint64_t stalled = 0;  ///< of those, ticks with no active cycle
     std::uint64_t longWaits = 0; ///< fast-forwards over > 4096 ticks
     std::uint64_t digest = fnvOffsetBasis;
 
@@ -164,21 +164,26 @@ struct Drive
     }
 };
 
+/** A window of ticks in which the drive leaves a busy SM unticked. */
+struct Stall
+{
+    Tick at;
+    Tick ticks;
+};
+
 /**
  * Drive a rig built with @p tweak over 3x as many synthetic warps as
  * resident slots, so retirement compaction and refill churn
  * continuously, folding each visited tick's busy() and
  * nextWakeTick(), each serviced tick's active-cycle count, then the
- * kernel stats and the full stats dump, into the returned digest. @p fault, if armed, is
- * installed in the rig.
+ * kernel stats and the full stats dump, into the returned digest.
+ * Inside each of @p stalls the SM stays busy but is not ticked, as a
+ * frozen issue FIFO would leave it.
  */
 Drive
-drive(const ParamTweak &tweak = {}, const sim::FaultPlan &fault = {})
+drive(const ParamTweak &tweak = {}, const std::vector<Stall> &stalls = {})
 {
     SmRig rig(tweak);
-    if (!fault.empty())
-        rig.sim.installFaultInjector(
-            std::make_unique<sim::FaultInjector>(fault, 1));
 
     const std::uint64_t warps = 3 * rig.params.maxResidentWarps();
     gpu::KernelStats ks;
@@ -194,7 +199,14 @@ drive(const ParamTweak &tweak = {}, const sim::FaultPlan &fault = {})
         d.fold(wake);
         if (busy) {
             const double active = rig.sm.activeCycles();
-            rig.sm.tick(now);
+            const bool stalled =
+                std::any_of(stalls.begin(), stalls.end(),
+                            [now](const Stall &s) {
+                                return now >= s.at &&
+                                       now < s.at + s.ticks;
+                            });
+            if (!stalled)
+                rig.sm.tick(now);
             d.fold(static_cast<std::uint64_t>(rig.sm.activeCycles()));
             d.stalled += rig.sm.activeCycles() == active;
             ++d.serviced;
@@ -269,12 +281,7 @@ TEST(SmTickEquivalence, FifoStallLongerThanTheNearHorizonResumes)
     // wait it holds has long come due. The second drive's ALU waits
     // last exactly the near horizon, so they sit in the last bucket
     // a resumed walk may visit.
-    sim::FaultPlan stall;
-    for (const Tick at : {Tick{100}, Tick{1500}})
-        stall.add({.kind = sim::FaultKind::FifoStall,
-                   .at = at,
-                   .magnitude = 300,
-                   .target = 0});
+    const std::vector<Stall> stall{{100, 300}, {1500, 300}};
     const Drive d = drive(allSlots, stall);
     EXPECT_GE(d.stalled, 250u); // 313 when written
     expectDigest(d, 0x2ce6082c8e69fdcaull);

@@ -851,9 +851,9 @@ ruleStatRegisteredAfterStart(const Engine &e, FindingSink &out)
 
 /**
  * swallowed-sim-error: a `catch (...)` handler also catches SimError,
- * the typed failure the supervision stack depends on — a handler that
- * neither rethrows nor mentions the failure taxonomy turns a
- * classified panic/deadlock/timeout into a silently "successful" run.
+ * the typed failure per-run failure isolation depends on — a handler
+ * that neither rethrows nor mentions the failure taxonomy turns a
+ * classified panic/deadlock/runaway into a silently "successful" run.
  */
 void
 ruleSwallowedSimError(const Engine &e, FindingSink &out)

@@ -4,12 +4,12 @@
  *
  * Reads a bench result CSV (the writeRunsCsv format: one header row,
  * JSON-style quoted strings) and prints a compact per-run trend table
- * plus a failure summary built from the CSV's own `ok`, `failureKind`
- * and `attempts` columns.
+ * plus a failure summary built from the CSV's own `ok` and
+ * `failureKind` columns.
  *
  * With --check it also cross-validates the CSV against the bench's
  * `<artifact>.failures.json` report: every failed CSV row must appear
- * there with the same failureKind and attempts, and vice versa — the
+ * there with the same failureKind, and vice versa — the
  * two artifacts are written by different code paths, so agreement is
  * a real invariant, not a tautology.
  *
@@ -25,7 +25,6 @@
  */
 
 #include <algorithm>
-#include <cctype>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -136,11 +135,10 @@ struct FailureEntry
 {
     std::string label;
     std::string failureKind;
-    std::string attempts;
 };
 
 /**
- * Pull label/failureKind/attempts out of a failures.json report.
+ * Pull label/failureKind out of a failures.json report.
  * Tolerant scanner, not a full JSON parser: the report's shape is
  * fixed (writeFailureReport), one object per failed run.
  */
@@ -155,25 +153,18 @@ parseFailuresJson(const std::string &doc)
         if (p == std::string::npos || p >= end)
             return "";
         p += k.size();
-        if (p >= doc.size())
+        if (p >= doc.size() || doc[p] != '"')
             return "";
-        if (doc[p] == '"') {
-            std::string v;
-            for (std::size_t i = p + 1; i < doc.size(); ++i) {
-                if (doc[i] == '\\' && i + 1 < doc.size()) {
-                    v.push_back(doc[++i]);
-                } else if (doc[i] == '"') {
-                    break;
-                } else {
-                    v.push_back(doc[i]);
-                }
-            }
-            return v;
-        }
         std::string v;
-        while (p < doc.size() &&
-               (std::isdigit(static_cast<unsigned char>(doc[p]))))
-            v.push_back(doc[p++]);
+        for (std::size_t i = p + 1; i < doc.size(); ++i) {
+            if (doc[i] == '\\' && i + 1 < doc.size()) {
+                v.push_back(doc[++i]);
+            } else if (doc[i] == '"') {
+                break;
+            } else {
+                v.push_back(doc[i]);
+            }
+        }
         return v;
     };
     std::size_t pos = 0;
@@ -187,7 +178,6 @@ parseFailuresJson(const std::string &doc)
         FailureEntry e;
         e.label = stringAfter(p, "label", end);
         e.failureKind = stringAfter(p, "failureKind", end);
-        e.attempts = stringAfter(p, "attempts", end);
         out.push_back(std::move(e));
         pos = end;
     }
@@ -279,24 +269,21 @@ printTrend(const std::vector<Row> &rows)
     std::size_t wLabel = 5;
     for (const auto &r : rows)
         wLabel = std::max(wLabel, r.get("label").size());
-    std::printf("%-*s  %-5s %-9s %-8s %12s %10s\n",
-                static_cast<int>(wLabel), "label", "ok",
-                "failure", "attempts", "cycles", "seconds");
-    std::size_t failures = 0, retried = 0;
+    std::printf("%-*s  %-5s %-9s %12s %10s\n",
+                static_cast<int>(wLabel), "label", "ok", "failure",
+                "cycles", "seconds");
+    std::size_t failures = 0;
     for (const auto &r : rows) {
         const bool ok = r.get("ok") == "true";
         failures += !ok;
-        retried += r.get("attempts") != "1";
-        std::printf("%-*s  %-5s %-9s %-8s %12s %10s\n",
+        std::printf("%-*s  %-5s %-9s %12s %10s\n",
                     static_cast<int>(wLabel),
                     r.get("label").c_str(), r.get("ok").c_str(),
                     ok ? "-" : r.get("failureKind").c_str(),
-                    r.get("attempts").c_str(),
                     r.get("totalCycles").c_str(),
                     r.get("seconds").c_str());
     }
-    std::printf("\n%zu runs, %zu failed, %zu retried\n", rows.size(),
-                failures, retried);
+    std::printf("\n%zu runs, %zu failed\n", rows.size(), failures);
 }
 
 /**
@@ -339,13 +326,6 @@ checkConsistency(const std::vector<Row> &rows,
                         it->second->failureKind.c_str());
             ++bad;
         }
-        if (it->second->attempts != r.get("attempts")) {
-            std::printf("MISMATCH %s: attempts %s (CSV) vs %s "
-                        "(failures.json)\n", label.c_str(),
-                        r.get("attempts").c_str(),
-                        it->second->attempts.c_str());
-            ++bad;
-        }
         byLabel.erase(it);
     }
     for (const auto &[label, f] : byLabel) {
@@ -368,10 +348,10 @@ selfTest()
     };
 
     const std::string csv =
-        "label,ok,failureKind,attempts,totalCycles,seconds\n"
-        "\"BFS/GTX980/cond/gpu-only\",true,\"\",1,123,0.5\n"
-        "\"BFS/TX1/cond/scu-enhanced\",false,\"Runaway\",1,0,0\n"
-        "\"PR/TX1/cond/scu-basic\",false,\"Timeout\",3,0,0\n";
+        "label,ok,failureKind,totalCycles,seconds\n"
+        "\"BFS/GTX980/cond/gpu-only\",true,\"\",123,0.5\n"
+        "\"BFS/TX1/cond/scu-enhanced\",false,\"Runaway\",0,0\n"
+        "\"PR/TX1/cond/scu-basic\",false,\"Deadlock\",0,0\n";
     std::istringstream is(csv);
     std::string err;
     auto rows = parseCsv(is, err);
@@ -381,16 +361,16 @@ selfTest()
            "label unquoted");
     expect(rows[1].get("failureKind") == "Runaway",
            "failureKind surfaced");
-    expect(rows[2].get("attempts") == "3", "attempts surfaced");
+    expect(rows[2].get("totalCycles") == "0", "cycles surfaced");
 
     const std::string good =
         "{\"failures\":[\n"
         "  {\"label\":\"BFS/TX1/cond/scu-enhanced\","
         "\"failureKind\":\"Runaway\",\"error\":\"x\","
-        "\"attempts\":1,\"diagnostics\":\"\"},\n"
+        "\"diagnostics\":\"\"},\n"
         "  {\"label\":\"PR/TX1/cond/scu-basic\","
-        "\"failureKind\":\"Timeout\",\"error\":\"y\","
-        "\"attempts\":3,\"diagnostics\":\"\"}\n]}\n";
+        "\"failureKind\":\"Deadlock\",\"error\":\"y\","
+        "\"diagnostics\":\"\"}\n]}\n";
     auto fails = parseFailuresJson(good);
     expect(fails.size() == 2, "two failure entries");
     expect(checkConsistency(rows, fails) == 0,
@@ -401,10 +381,10 @@ selfTest()
         "{\"failures\":[\n"
         "  {\"label\":\"BFS/TX1/cond/scu-enhanced\","
         "\"failureKind\":\"Deadlock\",\"error\":\"x\","
-        "\"attempts\":1,\"diagnostics\":\"\"},\n"
+        "\"diagnostics\":\"\"},\n"
         "  {\"label\":\"SSSP/TX1/cond/scu-basic\","
         "\"failureKind\":\"Panic\",\"error\":\"z\","
-        "\"attempts\":1,\"diagnostics\":\"\"}\n]}\n";
+        "\"diagnostics\":\"\"}\n]}\n";
     expect(checkConsistency(rows, parseFailuresJson(bad)) == 3,
            "inconsistent artifacts counted");
 

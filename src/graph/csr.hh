@@ -44,9 +44,9 @@ struct EdgeList
 };
 
 /**
- * Immutable CSR graph. Construction sorts edges by (src, dst) and can
- * optionally drop exact duplicate (src, dst) pairs keeping the
- * minimum weight.
+ * Immutable CSR graph. Construction orders edges by (src, dst,
+ * weight) and can optionally drop duplicate (src, dst) pairs keeping
+ * the minimum weight.
  */
 class CsrGraph
 {
@@ -55,7 +55,7 @@ class CsrGraph
 
     /**
      * Build from an edge list.
-     * @param el input edges; consumed (sorted in place)
+     * @param el input edges; consumed (freed once scattered)
      * @param dedup drop duplicate (src,dst) pairs, keep min weight
      */
     static CsrGraph fromEdgeList(EdgeList el, bool dedup = false);
@@ -101,9 +101,6 @@ class CsrGraph
     std::span<const EdgeId> adjacencyOffsets() const { return offsets; }
     std::span<const NodeId> edgeArray() const { return dst; }
     std::span<const Weight> weightArray() const { return w; }
-
-    /** Graph with every edge reversed (same weights). */
-    CsrGraph transpose() const;
 
     /** Sum of all degrees divided by n, counting in + out edges. */
     double

@@ -79,11 +79,12 @@ rmat(unsigned scale_log2, EdgeId m, Rng &rng, const RmatParams &p,
     while (el.edges.size() < m) {
         NodeId u = 0, v = 0;
         for (unsigned bit = 0; bit < scale_log2; ++bit) {
-            double r = rng.uniform();
-            unsigned ubit = (r >= ab);
-            unsigned vbit = (r >= p.a && r < ab) || (r >= abc);
-            u = (u << 1) | ubit;
-            v = (v << 1) | vbit;
+            // Quadrant a, b, c or d as 0..3: its high bit picks the
+            // row half, its low bit the column half.
+            const double r = rng.uniform();
+            const unsigned q = (r >= p.a) + (r >= ab) + (r >= abc);
+            u = (u << 1) | (q >> 1);
+            v = (v << 1) | (q & 1);
         }
         if (!p.allowSelfLoops && u == v)
             continue;

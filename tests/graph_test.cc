@@ -6,10 +6,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <map>
 #include <span>
 #include <sstream>
+#include <string>
 #include <vector>
 
+#include "common/hash.hh"
 #include "common/rng.hh"
 #include "graph/analysis.hh"
 #include "graph/csr.hh"
@@ -29,6 +34,107 @@ std::vector<T>
 vec(std::span<const T> s)
 {
     return {s.begin(), s.end()};
+}
+
+/** FNV-1a over a graph's offsets, destinations and weights. */
+std::uint64_t
+graphDigest(const CsrGraph &g)
+{
+    const auto off = g.adjacencyOffsets();
+    const auto dst = g.edgeArray();
+    const auto w = g.weightArray();
+    std::uint64_t h = fnv1a(off.data(), off.size_bytes());
+    h = fnv1a(dst.data(), dst.size_bytes(), h);
+    return fnv1a(w.data(), w.size_bytes(), h);
+}
+
+/**
+ * Reference CSR build: a comparison sort of the whole edge list by
+ * (src, dst, weight), then std::unique on (src, dst), then one pass
+ * that counts rows and copies the edges out.
+ */
+void
+oracleBuild(EdgeList el, bool dedup, std::vector<EdgeId> &offsets,
+            std::vector<NodeId> &dst, std::vector<Weight> &w)
+{
+    auto &edges = el.edges;
+    std::sort(edges.begin(), edges.end(),
+              [](const CooEdge &a, const CooEdge &b) {
+                  if (a.src != b.src)
+                      return a.src < b.src;
+                  if (a.dst != b.dst)
+                      return a.dst < b.dst;
+                  return a.weight < b.weight;
+              });
+    if (dedup) {
+        edges.erase(std::unique(edges.begin(), edges.end(),
+                                [](const CooEdge &a, const CooEdge &b) {
+                                    return a.src == b.src &&
+                                           a.dst == b.dst;
+                                }),
+                    edges.end());
+    }
+    offsets.assign(static_cast<std::size_t>(el.numNodes) + 1, 0);
+    dst.clear();
+    w.clear();
+    for (const auto &e : edges) {
+        ++offsets[e.src + 1];
+        dst.push_back(e.dst);
+        w.push_back(e.weight);
+    }
+    for (std::size_t i = 1; i < offsets.size(); ++i)
+        offsets[i] += offsets[i - 1];
+}
+
+/** Build @p el both ways, with and without dedup, and compare. */
+void
+expectMatchesOracle(const EdgeList &el, const std::string &what)
+{
+    for (bool dedup : {false, true}) {
+        SCOPED_TRACE(what + (dedup ? " dedup" : " no dedup"));
+        std::vector<EdgeId> off;
+        std::vector<NodeId> dst;
+        std::vector<Weight> w;
+        oracleBuild(el, dedup, off, dst, w);
+        CsrGraph g = CsrGraph::fromEdgeList(el, dedup);
+        g.validate();
+        ASSERT_EQ(g.numNodes(), el.numNodes);
+        ASSERT_EQ(vec(g.adjacencyOffsets()), off);
+        ASSERT_EQ(vec(g.edgeArray()), dst);
+        ASSERT_EQ(vec(g.weightArray()), w);
+    }
+}
+
+/**
+ * A seeded random edge list. The node count, the number of distinct
+ * destinations and the weight range are drawn per list, so the lists
+ * mix isolated nodes, repeated (src, dst) pairs, exact duplicates and
+ * weights up to 999,999,999; a hub source sometimes takes most of
+ * the edges, so its row outgrows the short-row cutoff.
+ */
+EdgeList
+randomEdgeList(std::uint64_t seed)
+{
+    static const NodeId nodes[] = {1, 2, 7, 64, 1000, 70000};
+    static const Weight maxWeight[] = {0, 1, 15, 300, 70000,
+                                       20000000, 999999999};
+    Rng rng(seed);
+    EdgeList el;
+    el.numNodes = nodes[rng.below(std::size(nodes))];
+    const Weight wmax = maxWeight[rng.below(std::size(maxWeight))];
+    const auto m = rng.below(rng.chance(0.1) ? 3000 : 300);
+    const auto srcs = 1 + rng.below(el.numNodes);
+    const auto dsts = 1 + rng.below(el.numNodes);
+    const bool hub = rng.chance(0.3);
+    el.edges.reserve(m);
+    for (std::uint64_t i = 0; i < m; ++i) {
+        const auto u = static_cast<NodeId>(
+            hub && rng.chance(0.7) ? 0 : rng.below(srcs));
+        const auto v = static_cast<NodeId>(rng.below(dsts));
+        const auto wt = static_cast<Weight>(rng.range(0, wmax));
+        el.edges.push_back({u, v, wt});
+    }
+    return el;
 }
 
 } // namespace
@@ -78,17 +184,44 @@ TEST(Csr, DedupKeepsMinWeight)
     EXPECT_EQ(g.edgeWeights(0)[0], 3u);
 }
 
-TEST(Csr, TransposeReversesEdges)
+TEST(Csr, BuildMatchesComparisonSortOracle)
 {
-    CsrGraph g = referenceGraph();
-    CsrGraph t = g.transpose();
-    t.validate();
-    EXPECT_EQ(t.numEdges(), g.numEdges());
-    // A->B (w 2) becomes B->A.
-    auto nbrs = t.neighbors(1);
-    ASSERT_EQ(nbrs.size(), 1u);
-    EXPECT_EQ(nbrs[0], 0u);
-    EXPECT_EQ(t.edgeWeights(1)[0], 2u);
+    // Fixed edge cases first.
+    expectMatchesOracle(EdgeList{0, {}}, "no nodes");
+    expectMatchesOracle(EdgeList{1, {}}, "n = 1, empty");
+    expectMatchesOracle(EdgeList{1, {{0, 0, 5}, {0, 0, 2}, {0, 0, 5}}},
+                        "n = 1, self loops");
+    expectMatchesOracle(EdgeList{9, {{4, 2, 1}, {4, 1, 1}}},
+                        "isolated nodes");
+
+    EdgeList pair{3, {}};
+    EdgeList dups{3, {}};
+    EdgeList wide{5000, {}};
+    Rng rng(99);
+    for (int i = 0; i < 2000; ++i) {
+        // One (src, dst) pair with many weights in one long row.
+        pair.edges.push_back(
+            {1, 2, static_cast<Weight>(rng.range(0, 999999999))});
+        // Exact duplicates of a few (src, dst, weight) triples.
+        dups.edges.push_back({static_cast<NodeId>(rng.below(2)),
+                              static_cast<NodeId>(rng.below(3)),
+                              static_cast<Weight>(rng.below(2))});
+        // A long row whose destinations and weights vary in every
+        // byte the key has.
+        wide.edges.push_back(
+            {7, static_cast<NodeId>(rng.below(5000)),
+             static_cast<Weight>(rng.range(0, 999999999))});
+    }
+    expectMatchesOracle(pair, "one pair, many weights");
+    expectMatchesOracle(dups, "exact duplicates");
+    expectMatchesOracle(wide, "long row, four weight bytes");
+
+    for (std::uint64_t seed = 0; seed < 2000; ++seed) {
+        expectMatchesOracle(randomEdgeList(seed),
+                            "seed " + std::to_string(seed));
+        if (HasFatalFailure())
+            return;
+    }
 }
 
 TEST(Csr, OutOfRangeEdgeIsFatal)
@@ -139,6 +272,25 @@ TEST_P(DatasetGen, SeedChangesGraph)
     EXPECT_NE(vec(a.edgeArray()), vec(b.edgeArray()));
 }
 
+TEST_P(DatasetGen, DigestIsPinned)
+{
+    // FNV-1a of offsets, destinations and weights at scale 0.01,
+    // seed 1. A generator or CSR-build change that moves any graph
+    // fails here, naming the dataset.
+    static const std::map<std::string, std::uint64_t> pinned = {
+        {"ca", 0x47642fa91402bbf6ull},
+        {"cond", 0x133de9424d98d69dull},
+        {"delaunay", 0x6d0124de4d13a818ull},
+        {"human", 0xddfd9e773b15ca46ull},
+        {"kron", 0x580399539b9dfa91ull},
+        {"msdoor", 0x387e1b601d15c2a8ull},
+    };
+    const std::string name = GetParam();
+    const std::uint64_t got = graphDigest(makeDataset(name, 0.01, 1));
+    EXPECT_EQ(got, pinned.at(name))
+        << name << " digest 0x" << std::hex << got;
+}
+
 INSTANTIATE_TEST_SUITE_P(AllDatasets, DatasetGen,
                          ::testing::Values("ca", "cond", "delaunay",
                                            "human", "kron",
@@ -153,6 +305,61 @@ TEST(Generators, RmatIsSkewed)
     // Power-law generators produce hubs far above the mean degree.
     EXPECT_GT(static_cast<double>(st.maxOutDegree),
               5.0 * st.avgDegree);
+}
+
+namespace
+{
+
+/** R-MAT with the short-circuit quadrant tests of the original. */
+EdgeList
+branchyRmat(unsigned scale_log2, EdgeId m, Rng &rng,
+            const RmatParams &p, Weight max_weight)
+{
+    const NodeId n = static_cast<NodeId>(1) << scale_log2;
+    EdgeList el;
+    el.numNodes = n;
+    const double ab = p.a + p.b;
+    const double abc = p.a + p.b + p.c;
+    while (el.edges.size() < m) {
+        NodeId u = 0, v = 0;
+        for (unsigned bit = 0; bit < scale_log2; ++bit) {
+            double r = rng.uniform();
+            unsigned ubit = (r >= ab);
+            unsigned vbit = (r >= p.a && r < ab) || (r >= abc);
+            u = (u << 1) | ubit;
+            v = (v << 1) | vbit;
+        }
+        if (!p.allowSelfLoops && u == v)
+            continue;
+        el.edges.push_back(
+            {u, v, static_cast<Weight>(rng.range(1, max_weight))});
+    }
+    return el;
+}
+
+} // namespace
+
+TEST(Generators, RmatMatchesBranchyReference)
+{
+    RmatParams custom;
+    custom.a = 0.25;
+    custom.b = 0.4;
+    custom.c = 0.05;
+    RmatParams loops;
+    loops.allowSelfLoops = true;
+    for (unsigned lg : {1u, 5u, 12u}) {
+        for (const RmatParams &p : {RmatParams{}, custom, loops}) {
+            SCOPED_TRACE("scale_log2 " + std::to_string(lg) + ", a " +
+                         std::to_string(p.a) + ", self loops " +
+                         std::to_string(p.allowSelfLoops));
+            Rng a(lg), b(lg);
+            const EdgeList got = rmat(lg, 3000, a, p, 15);
+            const EdgeList want = branchyRmat(lg, 3000, b, p, 15);
+            EXPECT_EQ(got.numNodes, want.numNodes);
+            EXPECT_TRUE(got.edges == want.edges);
+            EXPECT_EQ(a.next(), b.next()); // same number of draws
+        }
+    }
 }
 
 TEST(Generators, RoadNetworkIsNearlySymmetricAndSparse)

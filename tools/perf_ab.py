@@ -7,11 +7,12 @@ run at run.py's default length: a
 this checkout (the "change"). Which side runs first alternates from
 pair to pair. Prints:
 
-- each pair's wall_ref and cpu_ref, each side's median and quartiles
-  of both, and how many pairs the change won on wall_ref (ties count
-  for neither side);
+- each pair's --metric (default wall_ref) and one companion metric
+  (cpu_ref for wall_ref, else wall_ref), each side's median and
+  quartiles of both, and how many pairs the change won on --metric in
+  its BENCHMARK.json `better` direction (ties count for neither side);
 - a `gain verdict: met|not met` line: met when the change won at
-  least 9/10 of the pairs and its median wall_ref gain exceeds the
+  least 9/10 of the pairs and its median --metric gain exceeds the
   parent's IQR;
 - every end-to-end metric of BENCHMARK.json, parent median against
   change median, with the bound it may worsen by.
@@ -25,6 +26,8 @@ model-identity result.
 
     python3 tools/perf_ab.py --ref HEAD --workload scu-dense \
         --seed 1 --pairs 10
+    python3 tools/perf_ab.py --ref HEAD --workload gpu-dense \
+        --seed 1 --pairs 5 --metric setup_s
 """
 
 import argparse
@@ -106,10 +109,14 @@ def compare_cells(label, parent, change):
 
 
 def timed_pairs(args, sides, reference, bench):
-    """Alternating timed pairs; prints per-pair wall_ref, medians,
+    """Alternating timed pairs; prints per-pair --metric, medians,
     quartiles, wins and the end-to-end metrics. Returns failures."""
     failures = []
     samples = {"parent": [], "change": []}
+    metric = args.metric
+    companion = "cpu_ref" if metric == "wall_ref" else "wall_ref"
+    lower = next(m for m in bench["end_to_end"]
+                 if m["name"] == metric)["better"] == "lower"
     wins = 0
     for i in range(args.pairs):
         order = ("parent", "change") if i % 2 == 0 else \
@@ -123,33 +130,39 @@ def timed_pairs(args, sides, reference, bench):
                                       reference[side], cells)
             got[side] = metrics
             samples[side].append(metrics)
-        a = got["parent"].get("wall_ref")
-        b = got["change"].get("wall_ref")
-        if a is not None and b is not None and b < a:
+        a = got["parent"].get(metric)
+        b = got["change"].get(metric)
+        if a is not None and b is not None and \
+                (b < a if lower else b > a):
             wins += 1
         print("pair %2d (%s first): parent %12.4f  change %12.4f  "
-              "(cpu_ref parent %.4f, change %.4f)" %
+              "(%s parent %.4f, change %.4f)" %
               (i + 1, order[0], a or float("nan"), b or float("nan"),
-               got["parent"].get("cpu_ref", float("nan")),
-               got["change"].get("cpu_ref", float("nan"))))
+               companion,
+               got["parent"].get(companion, float("nan")),
+               got["change"].get(companion, float("nan"))))
 
     stats = {}
-    for name in ("wall_ref", "cpu_ref"):
+    for name in (metric, companion):
         for side in ("parent", "change"):
             vals = [m[name] for m in samples[side] if name in m]
             if not vals:
                 continue
             q1, q2, q3 = quartiles(vals)
-            if name == "wall_ref":
+            if name == metric:
                 stats[side] = (q2, q3 - q1)
             print("%-6s %s: median %.4f, quartiles %.4f .. %.4f "
                   "(IQR %.4f, n=%d)" % (side, name, q2, q1, q3, q3 - q1,
                                         len(vals)))
-    print("change won %d of %d pairs on wall_ref" % (wins, args.pairs))
+    print("change won %d of %d pairs on %s" % (wins, args.pairs, metric))
     # A claimed gain needs 9 wins in 10 pairs and a median gain larger
-    # than the parent's IQR.
-    met = len(stats) == 2 and 10 * wins >= 9 * args.pairs and \
-        stats["parent"][0] - stats["change"][0] > stats["parent"][1]
+    # than the parent's IQR, in the metric's better direction.
+    met = False
+    if len(stats) == 2:
+        gain = stats["parent"][0] - stats["change"][0]
+        if not lower:
+            gain = -gain
+        met = 10 * wins >= 9 * args.pairs and gain > stats["parent"][1]
     print("gain verdict: %s" % ("met" if met else "not met"))
 
     print("end-to-end metrics (medians; worse = relative change in "
@@ -178,6 +191,9 @@ def main():
     p.add_argument("--workload", required=True)
     p.add_argument("--seed", type=int)
     p.add_argument("--pairs", type=int, default=10)
+    p.add_argument("--metric", default="wall_ref",
+                   help="end-to-end metric of BENCHMARK.json that the "
+                        "pairs, wins and gain verdict are on")
     p.add_argument("--traced", type=int, default=1,
                    help="--trace 1 runs per side (0 skips them)")
     p.add_argument("--workdir",
@@ -187,6 +203,9 @@ def main():
     args = p.parse_args()
 
     bench = load_json("BENCHMARK.json")
+    if args.metric not in [m["name"] for m in bench["end_to_end"]]:
+        sys.exit("perf_ab: --metric %s is not an end-to-end metric of "
+                 "BENCHMARK.json" % args.metric)
     exact = load_json("perfbench", "workloads.json")["metric_kinds"][
         "exact"]
     sha, parent_root = checkout(args.ref, args.workdir)

@@ -31,13 +31,27 @@
 namespace scusim::bench
 {
 
-/** Dataset scale for this process: SCUSIM_SCALE, else @p def. */
+/**
+ * Dataset scale for this process: SCUSIM_SCALE, else @p def. Exits 2
+ * unless the whole value parses as a number in (0, 1], so a typo
+ * cannot run at an unintended scale.
+ */
 inline double
 benchScale(double def = 0.05)
 {
-    if (const char *s = std::getenv("SCUSIM_SCALE"))
-        return std::atof(s);
-    return def;
+    const char *s = std::getenv("SCUSIM_SCALE");
+    if (!s)
+        return def;
+    char *end = nullptr;
+    const double v = std::strtod(s, &end);
+    if (end == s || *end != '\0' || !(v > 0 && v <= 1.0)) {
+        std::fprintf(stderr,
+                     "invalid SCUSIM_SCALE='%s': want a number in "
+                     "(0, 1]\n",
+                     s);
+        std::exit(2);
+    }
+    return v;
 }
 
 /** Names of the six benchmark datasets, Table 5 order. */

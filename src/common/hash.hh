@@ -1,8 +1,8 @@
 /**
  * @file
- * 64-bit FNV-1a, the one content hash of the simulator: run-cache
- * file names, partition fingerprints and the golden stats-dump
- * digests all fold their bytes through it.
+ * 64-bit FNV-1a, the one content hash of the simulator: partition
+ * fingerprints and the golden stats-dump digests both fold their
+ * bytes through it.
  */
 
 #ifndef SCUSIM_COMMON_HASH_HH

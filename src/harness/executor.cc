@@ -9,7 +9,6 @@
 
 #include "common/logging.hh"
 #include "graph/datasets.hh"
-#include "harness/run_cache.hh"
 
 namespace scusim::harness
 {
@@ -34,7 +33,6 @@ copyOutcome(RunRecord &to, const RunRecord &from)
     to.error = from.error;
     to.failure = from.failure;
     to.diagnostics = from.diagnostics;
-    to.fromDiskCache = from.fromDiskCache;
 }
 
 /** File-name-safe rendering of a run label. */
@@ -208,13 +206,9 @@ runPlan(const std::vector<PlannedRun> &runs,
     for (std::size_t i = 0; i < runs.size(); ++i)
         recs[i].run = runs[i];
 
-    // Serve memoized results, then the persistent disk cache;
-    // collect the indexes left to execute. Within those, equal keys
-    // (possible through the raw-run-list overload) execute once and
-    // fan out afterwards.
-    const std::string cacheDir = opts.memoize && opts.diskCache
-                                     ? runCacheDir()
-                                     : std::string();
+    // Serve memoized results and collect the indexes left to
+    // execute. Within those, equal keys (possible through the
+    // raw-run-list overload) execute once and fan out afterwards.
     std::vector<std::size_t> todo;
     std::map<std::string, std::vector<std::size_t>> dup;
     {
@@ -224,20 +218,6 @@ runPlan(const std::vector<PlannedRun> &runs,
                 auto it = memo().find(runs[i].key);
                 if (it != memo().end()) {
                     copyOutcome(recs[i], it->second);
-                    continue;
-                }
-            }
-            // Graph-backed runs never consult the disk cache: their
-            // pointer keys are process-local and can never match.
-            if (!cacheDir.empty() && !runs[i].graph) {
-                RunRecord hit;
-                if (loadCachedRun(cacheDir, runs[i].key, hit)) {
-                    copyOutcome(recs[i], hit);
-                    recs[i].fromDiskCache = true;
-                    // Disk hits also feed the in-process memo so
-                    // later plans in this process skip the file
-                    // system too.
-                    memo().emplace(runs[i].key, recs[i]);
                     continue;
                 }
             }
@@ -305,24 +285,7 @@ runPlan(const std::vector<PlannedRun> &runs,
             }
             if (opts.memoize)
                 memo().emplace(recs[i].run.key, recs[i]);
-            // Persist freshly executed outcomes for later processes
-            // (storeCachedRun itself rejects pointer-keyed
-            // graph-backed runs).
-            if (!cacheDir.empty())
-                storeCachedRun(cacheDir, recs[i]);
         }
-    }
-
-    if (!cacheDir.empty()) {
-        std::size_t served = 0;
-        for (const auto &r : recs)
-            served += r.fromDiskCache ? 1 : 0;
-        if (served && served == recs.size())
-            inform("disk cache: all %zu runs served from %s",
-                   recs.size(), cacheDir.c_str());
-        else if (served)
-            inform("disk cache: %zu of %zu runs served from %s",
-                   served, recs.size(), cacheDir.c_str());
     }
 
     return PlanResults(std::move(recs));

@@ -33,13 +33,6 @@ struct RunRecord
     std::optional<FailureKind> failure;
     /** Per-component diagnostic dump attached to the failure. */
     std::string diagnostics;
-    /**
-     * Served from the persistent disk cache (SCUSIM_CACHE_DIR)
-     * instead of simulating. Deliberately excluded from the JSON/CSV
-     * artifacts so a cache-served plan stays byte-identical to a
-     * simulated one.
-     */
-    bool fromDiskCache = false;
 };
 
 /**
@@ -109,21 +102,13 @@ struct ExecutorOptions
      */
     unsigned jobs = 0;
     /**
-     * Share results across runPlan() calls in this process (the
-     * run-level replacement of the old bench runCached()). Tests
-     * that compare fresh executions turn this off. Failed runs are
-     * memoized too: every failure kind is deterministic.
+     * Share results across runPlan() calls in this process. This is
+     * the only result cache: no result outlives the process (and so
+     * the build) that simulated it. Tests that compare fresh
+     * executions turn this off. Failed runs are memoized too: every
+     * failure kind is deterministic.
      */
     bool memoize = true;
-    /**
-     * Consult the persistent on-disk run cache when SCUSIM_CACHE_DIR
-     * is set (run_cache.hh): completed records are stored keyed by
-     * run key, and later processes serve matching runs from disk —
-     * zero simulation — with bit-identical results. Requires memoize
-     * (the same "identical key, identical result" contract); runs on
-     * caller-owned graphs are never cached.
-     */
-    bool diskCache = true;
     /**
      * Default observability configuration merged into every run
      * whose own RunConfig::trace is disabled (typically

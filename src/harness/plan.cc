@@ -8,15 +8,6 @@ namespace scusim::harness
 namespace
 {
 
-/** Exact, locale-independent double rendering for keys. */
-std::string
-keyNum(double v)
-{
-    char buf[40];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    return buf;
-}
-
 void
 appendHash(std::ostringstream &os, const scu::HashConfig &h)
 {
@@ -72,9 +63,8 @@ runKey(const RunConfig &cfg, const graph::CsrGraph *graph)
         os << "|dev=" << cfg.deviceCount;
     else if (cfg.sharded)
         os << "|sharded";
-    // A bare pointer only means "some ad-hoc graph in this process";
-    // such keys must never leave the process, which is why
-    // runCacheStorable rejects them.
+    // A bare pointer only means "some ad-hoc graph in this process",
+    // which is all a memo key needs.
     if (graph)
         os << "|graph=" << static_cast<const void *>(graph);
     return os.str();

@@ -38,8 +38,7 @@ struct PlannedRun
     RunConfig cfg;
     /**
      * Caller-owned pre-built graph; null = synthesize cfg.dataset.
-     * The run key embeds the pointer, so such runs are memoized in
-     * this process only and never reach the disk cache.
+     * The run key embeds the pointer.
      */
     const graph::CsrGraph *graph = nullptr;
 };

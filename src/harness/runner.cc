@@ -1,6 +1,7 @@
 #include "harness/runner.hh"
 
 #include <cmath>
+#include <cstdio>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -35,6 +36,14 @@ to_string(Primitive p)
     return "?";
 }
 
+std::string
+keyNum(double v)
+{
+    char buf[40];
+    std::snprintf(buf, sizeof(buf), "%.17g", v);
+    return buf;
+}
+
 const graph::CsrGraph &
 cachedDataset(const std::string &name, double scale,
               std::uint64_t seed)
@@ -50,8 +59,8 @@ cachedDataset(const std::string &name, double scale,
     };
     static std::mutex m;
     static std::map<std::string, Entry> cache;
-    std::string key = name + "@" + std::to_string(scale) + "#" +
-                      std::to_string(seed);
+    std::string key =
+        name + "@" + keyNum(scale) + "#" + std::to_string(seed);
     Entry *e;
     {
         std::lock_guard<std::mutex> lock(m);

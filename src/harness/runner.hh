@@ -135,6 +135,12 @@ struct RunResult
 };
 
 /**
+ * Exact, locale-independent rendering of @p v ("%.17g") for cache
+ * keys: two doubles render alike only if they are equal.
+ */
+std::string keyNum(double v);
+
+/**
  * Fetch (and memoize) the synthetic stand-in of a Table 5 dataset at
  * the given scale. Benches share graphs across runs through this.
  */

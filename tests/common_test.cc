@@ -15,7 +15,6 @@
 #include "common/rng.hh"
 #include "graph/datasets.hh"
 #include "graph/partition.hh"
-#include "harness/run_cache.hh"
 
 using namespace scusim;
 
@@ -81,15 +80,10 @@ TEST(Hash, Fnv1aReferenceVectors)
     EXPECT_EQ(fnv1a("bar", 3, fnv1a("foo", 3)), fnv1a("foobar", 6));
 }
 
-// Run-cache file names and partition fingerprints both hash through
-// fnv1a; these values were recorded before they shared one routine.
-// A moved cache name orphans every cache file, so only a bump of
-// runCacheSchemaVersion may change the first pin.
-TEST(Hash, CacheFileNamesAndPartitionFingerprintsArePinned)
+// Partition fingerprints hash through fnv1a; these values were
+// recorded before it became the simulator's one content hash.
+TEST(Hash, PartitionFingerprintsArePinned)
 {
-    EXPECT_EQ(harness::runCachePath("d", "pinned-key"),
-              "d/af3557b2dd248b44.run");
-
     EXPECT_EQ(graph::GraphPartition::build(graph::referenceGraph(), 2)
                   .fingerprint(),
               0x56018360721fc4e4ull);

@@ -218,8 +218,7 @@ TEST(Executor, GuardedRunsKeyApart)
     ASSERT_EQ(both.size(), 2u);
     EXPECT_NE(both[0].key, both[1].key);
 
-    const ExecutorOptions opts{.jobs = 1, .memoize = true,
-                               .diskCache = false};
+    const ExecutorOptions opts{.jobs = 1, .memoize = true};
     for (const bool guardedFirst : {false, true}) {
         clearRunMemo();
         PlanResults ok, failed;

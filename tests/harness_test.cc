@@ -8,6 +8,7 @@
 
 #include <sstream>
 
+#include "graph/datasets.hh"
 #include "harness/runner.hh"
 #include "harness/system.hh"
 
@@ -106,6 +107,17 @@ TEST(Runner, DatasetCacheReturnsSameGraph)
     EXPECT_EQ(&a, &b);
     const auto &c = cachedDataset("cond", 0.01, 2);
     EXPECT_NE(&a, &c);
+}
+
+TEST(Runner, DatasetCacheKeysScaleExactly)
+{
+    // Scales equal to six decimals are still different graphs.
+    const auto &a = cachedDataset("kron", 0.01, 1);
+    const auto &b = cachedDataset("kron", 0.0100004, 1);
+    EXPECT_NE(&a, &b);
+    EXPECT_EQ(b.numEdges(),
+              graph::makeDataset("kron", 0.0100004, 1).numEdges());
+    EXPECT_NE(a.numEdges(), b.numEdges());
 }
 
 TEST(Runner, ToStringHelpers)

@@ -9,6 +9,9 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <set>
+
 #include "graph/datasets.hh"
 #include "harness/executor.hh"
 #include "harness/plan.hh"
@@ -81,6 +84,49 @@ TEST(Plan, RunKeyIgnoresScuOverrideForGpuOnly)
     auto with = runKey(cfg);
     cfg.scuOverride->pipelineWidth *= 2;
     EXPECT_NE(runKey(cfg), with);
+}
+
+TEST(Plan, RunKeySeparatesEveryScuField)
+{
+    // The memo is the only result cache, so a key that skipped an SCU
+    // field would serve one variant's result for another.
+    RunConfig cfg;
+    cfg.mode = ScuMode::ScuEnhanced;
+    const scu::ScuParams base = SystemConfig::tx1().scu;
+    std::vector<std::function<void(scu::ScuParams &)>> edits = {
+        [](scu::ScuParams &p) { p.pipelineWidth += 1; },
+        [](scu::ScuParams &p) { p.vectorBufferBytes += 1; },
+        [](scu::ScuParams &p) { p.fifoRequestBytes += 1; },
+        [](scu::ScuParams &p) { p.hashRequestBytes += 1; },
+        [](scu::ScuParams &p) { p.coalesceInflight += 1; },
+        [](scu::ScuParams &p) { p.mergeWindow += 1; },
+        [](scu::ScuParams &p) { p.groupSize += 1; },
+        [](scu::ScuParams &p) { p.opSetupCycles += 1; },
+        [](scu::ScuParams &p) { p.opDrainCycles += 1; },
+    };
+    for (auto hash : {&scu::ScuParams::filterBfsHash,
+                      &scu::ScuParams::filterSsspHash,
+                      &scu::ScuParams::groupHash}) {
+        edits.push_back([hash](scu::ScuParams &p) {
+            (p.*hash).sizeBytes += 1;
+        });
+        edits.push_back([hash](scu::ScuParams &p) {
+            (p.*hash).ways += 1;
+        });
+        edits.push_back([hash](scu::ScuParams &p) {
+            (p.*hash).entryBytes += 1;
+        });
+    }
+
+    cfg.scuOverride = base;
+    std::set<std::string> keys = {runKey(cfg)};
+    for (std::size_t i = 0; i < edits.size(); ++i) {
+        cfg.scuOverride = base;
+        edits[i](*cfg.scuOverride);
+        EXPECT_TRUE(keys.insert(runKey(cfg)).second)
+            << "edit " << i << " did not change the key";
+    }
+    EXPECT_EQ(keys.size(), 9u + 3u * 3u + 1u);
 }
 
 TEST(Plan, RunKeySeparatesConfigsAndGraphs)

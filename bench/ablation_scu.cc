@@ -70,10 +70,12 @@ main(int argc, char **argv)
     for (auto &plan : {hashPlan, groupPlan})
         for (auto &r : plan.expand())
             runs.push_back(r);
+    harness::ExecutorOptions opts = benchExecutorOptions();
+    opts.jobs = harness::executorJobs();
     std::printf("executing %zu runs on %u workers "
                 "(SCUSIM_JOBS to change)...\n",
-                runs.size(), harness::executorJobs());
-    auto res = harness::runPlan(runs, benchExecutorOptions());
+                runs.size(), opts.jobs);
+    auto res = harness::runPlan(runs, opts);
 
     harness::Table t1(
         "Ablation: SCU pipeline width (BFS, kron, TX1)");

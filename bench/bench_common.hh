@@ -13,6 +13,8 @@
  *   SCUSIM_TRACE_MASK   enable per-run tracing (trace-enabled builds)
  *   SCUSIM_TRACE_PERIOD timeseries sampling window, ticks
  *
+ * A malformed SCUSIM_SCALE or SCUSIM_JOBS exits 2 before any run.
+ *
  * The figure benches take no command-line arguments.
  */
 
@@ -126,10 +128,13 @@ inline harness::PlanResults
 runBenchPlan(const harness::ExperimentPlan &plan)
 {
     auto runs = plan.expand();
+    // Resolve SCUSIM_JOBS once, before any run.
+    harness::ExecutorOptions opts = benchExecutorOptions();
+    opts.jobs = harness::executorJobs();
     std::printf("executing %zu runs on %u workers "
                 "(SCUSIM_JOBS to change)...\n",
-                runs.size(), harness::executorJobs());
-    return harness::runPlan(runs, benchExecutorOptions());
+                runs.size(), opts.jobs);
+    return harness::runPlan(runs, opts);
 }
 
 /** Reject any command-line argument, then run as runBenchPlan. */

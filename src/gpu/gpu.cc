@@ -17,6 +17,7 @@ Gpu::Gpu(const GpuParams &params, mem::MemSystem &mem,
     for (unsigned i = 0; i < p.numSms; ++i) {
         sms.push_back(std::make_unique<StreamingMultiprocessor>(
             p, i, &mem, &grp));
+        sms.back()->l1().setClock(&sim);
         sim.addClocked(sms.back().get(),
                        "sm" + std::to_string(i));
     }

@@ -1,7 +1,11 @@
 #include "harness/executor.hh"
 
 #include <atomic>
+#include <cctype>
+#include <cerrno>
+#include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <map>
 #include <mutex>
 #include <stdexcept>
@@ -189,10 +193,24 @@ executorJobs(const ExecutorOptions &opts)
     if (opts.jobs)
         return opts.jobs;
     if (const char *s = std::getenv("SCUSIM_JOBS")) {
-        int n = std::atoi(s);
-        if (n > 0)
-            return static_cast<unsigned>(n);
-        warn("ignoring invalid SCUSIM_JOBS='%s'", s);
+        // Digits only, so "2x", "+2" and " 2" are refused, not read
+        // as 2.
+        char *end = nullptr;
+        errno = 0;
+        const unsigned long n = std::strtoul(s, &end, 10);
+        if (!std::isdigit(static_cast<unsigned char>(*s)) ||
+            *end != '\0' || errno == ERANGE || n == 0 ||
+            n > std::numeric_limits<unsigned>::max()) {
+            // A usage error, reported before any worker thread
+            // starts and with bench::benchScale's exit status.
+            // simlint: allow(direct-output)
+            std::fprintf(stderr,
+                         "invalid SCUSIM_JOBS='%s': want a whole "
+                         "number >= 1\n",
+                         s);
+            std::exit(2);
+        }
+        return static_cast<unsigned>(n);
     }
     unsigned hw = std::thread::hardware_concurrency();
     return hw ? hw : 1;

@@ -98,7 +98,9 @@ struct ExecutorOptions
 {
     /**
      * Worker count; 0 resolves SCUSIM_JOBS from the environment and
-     * falls back to std::thread::hardware_concurrency().
+     * falls back to std::thread::hardware_concurrency(). The process
+     * exits 2 if SCUSIM_JOBS is set to anything but a whole number
+     * >= 1.
      */
     unsigned jobs = 0;
     /**
@@ -126,7 +128,10 @@ struct ExecutorOptions
     std::string traceDir = {};
 };
 
-/** The resolved worker count runPlan() would use for @p opts. */
+/**
+ * The resolved worker count runPlan() would use for @p opts. Exits 2
+ * on an invalid SCUSIM_JOBS (see ExecutorOptions::jobs).
+ */
 unsigned executorJobs(const ExecutorOptions &opts = {});
 
 /** Expand and run @p plan. */

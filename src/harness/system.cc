@@ -75,6 +75,7 @@ System::System(const SystemConfig &cfg)
         dev.as = std::make_unique<mem::AddressSpace>();
         dev.memsys = std::make_unique<mem::MemSystem>(cfg.gpu.memsys,
                                                       clk, parent);
+        dev.memsys->l2().setClock(&sim);
         dev.gpuModel = std::make_unique<gpu::Gpu>(cfg.gpu, *dev.memsys,
                                                   sim, parent);
         if (cfg.withScu) {

@@ -6,6 +6,7 @@
 #include "common/bits.hh"
 #include "common/logging.hh"
 #include "sim/check.hh"
+#include "sim/simulation.hh"
 
 namespace scusim::mem
 {
@@ -72,7 +73,7 @@ InflightTable::set(Addr line, Tick fill)
     if (!used(slots[i])) {
         // Load factor stays at or below one half.
         if (2 * (count + 1) > slots.size()) {
-            grow();
+            makeRoom();
             i = probe(line);
         }
         slots[i].line = line;
@@ -136,6 +137,19 @@ InflightTable::clear()
 }
 
 void
+InflightTable::makeRoom()
+{
+    if (clock) {
+        // No lookup comes before the clock, and a lookup at or after
+        // an entry's fill tick ignores it: such entries are dead.
+        eraseUpTo(clock->now());
+        if (4 * (count + 1) <= slots.size())
+            return;
+    }
+    grow();
+}
+
+void
 InflightTable::grow()
 {
     std::vector<Slot> old(slots.size() * 2);
@@ -161,6 +175,9 @@ Cache::Cache(const CacheParams &params, MemLevel *downstream,
       mshrStallCycles(&grp, "mshr_stall_cycles",
                       "cycles accesses waited for a free MSHR")
 {
+    // matchTag() returns a way from a 64-bit mask.
+    panic_if(p.ways == 0 || p.ways > 64,
+             "cache '%s': %u ways, want 1 to 64", p.name.c_str(), p.ways);
     const std::uint64_t num_sets =
         p.sizeBytes / (static_cast<std::uint64_t>(p.lineBytes) * p.ways);
     panic_if(num_sets == 0, "cache '%s' smaller than one set",
@@ -174,9 +191,11 @@ Cache::Cache(const CacheParams &params, MemLevel *downstream,
              p.name.c_str(), banks);
     setMask = num_sets - 1;
     lineShift = floorLog2(p.lineBytes);
-    tags.assign(num_sets * p.ways, kInvalidTag);
-    lines.assign(num_sets * p.ways, Line{});
-    validBits.assign((tags.size() + 63) / 64, 0);
+    rowWays = static_cast<unsigned>(alignUp(p.ways, 4));
+    const std::size_t slots = num_sets * rowWays;
+    tags.assign(slots, kInvalidTag);
+    lines.assign(slots, Line{});
+    validBits.assign((slots + 63) / 64, 0);
     bankFree.assign(banks, 0);
     bankMask = banks - 1;
 }
@@ -205,7 +224,7 @@ Cache::acquireMshr(Tick start)
 }
 
 Cache::Line &
-Cache::install(std::size_t w, std::uint64_t tag)
+Cache::install(std::size_t w, std::uint32_t tag)
 {
     tags[w] = tag;
     validBits[w / 64] |= std::uint64_t{1} << (w % 64);
@@ -222,15 +241,14 @@ Cache::writeBackIfDirty(Tick when, std::size_t w)
     // The requester does not wait for a writeback; it only consumes
     // downstream bandwidth.
     if (tags[w] != kInvalidTag && lines[w].dirty) {
-        next->access(when, tags[w] << lineShift, AccessKind::Write,
-                     p.lineBytes);
+        next->access(when, lineAddr(w), AccessKind::Write, p.lineBytes);
         ++writebacks;
     }
 }
 
 Cache::Fill
 Cache::fill(Tick start, Addr line_addr, std::size_t set,
-            std::uint64_t tag, unsigned bytes)
+            std::uint32_t tag, unsigned bytes)
 {
     // Victim selection: LRU among the ways; lines in the protected
     // (way-locked) region are only victimized by protected fills.
@@ -243,7 +261,7 @@ Cache::fill(Tick start, Addr line_addr, std::size_t set,
             found = true;
             break;
         }
-        if (!filler_protected && isProtected(tags[w] << lineShift))
+        if (!filler_protected && isProtected(lineAddr(w)))
             continue;
         if (!found || lines[w].lastUse < lines[victim].lastUse) {
             victim = w;
@@ -277,8 +295,16 @@ MemResult
 Cache::access(Tick issue, Addr addr, AccessKind kind, unsigned bytes)
 {
     (void)bytes;
+    sim_check(!clock || issue >= clock->now(),
+              "%s: access issued at tick %llu, before the clock's %llu",
+              p.name.c_str(), static_cast<unsigned long long>(issue),
+              static_cast<unsigned long long>(clock->now()));
     const Addr line_addr = alignDown(addr, p.lineBytes);
-    const std::uint64_t tag = line_addr >> lineShift;
+    const Addr line_num = line_addr >> lineShift;
+    panic_if(line_num >= kInvalidTag,
+             "cache '%s': line %#llx's tag does not fit 32 bits",
+             p.name.c_str(), static_cast<unsigned long long>(line_num));
+    const auto tag = static_cast<std::uint32_t>(line_num);
     const std::size_t set = setBase(line_addr);
 
     Tick occupancy = p.bankCycle +
@@ -300,10 +326,8 @@ Cache::access(Tick issue, Addr addr, AccessKind kind, unsigned bytes)
                          kind == AccessKind::ReadNoAlloc;
 
     // Tag lookup.
-    const std::uint64_t *set_tags = tags.data() + set;
-    for (unsigned w = 0; w < p.ways; ++w) {
-        if (set_tags[w] != tag)
-            continue;
+    if (const unsigned w = matchTag(tags.data() + set, rowWays, tag);
+        w < rowWays) {
         Line &l = lines[set + w];
         l.lastUse = ++lruClock;
         if (!is_read)

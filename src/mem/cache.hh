@@ -12,14 +12,24 @@
 #ifndef SCUSIM_MEM_CACHE_HH
 #define SCUSIM_MEM_CACHE_HH
 
+#include <algorithm>
 #include <optional>
 #include <string>
 #include <vector>
+
+#if defined(__SSE2__)
+#include <emmintrin.h>
+#endif
 
 #include "common/bits.hh"
 #include "common/types.hh"
 #include "mem/request.hh"
 #include "stats/stats.hh"
+
+namespace scusim::sim
+{
+class Simulation;
+} // namespace scusim::sim
 
 namespace scusim::mem
 {
@@ -90,6 +100,57 @@ class CompletionRing
 };
 
 /**
+ * Index of the way of @p row that holds @p tag, else @p width: the
+ * scalar form of matchTag(), one conditional move per way, scanned
+ * from the top so the lowest matching way wins.
+ */
+inline unsigned
+matchTagScalar(const std::uint32_t *row, unsigned width,
+               std::uint32_t tag)
+{
+    unsigned hit = width;
+    for (unsigned w = width; w-- > 0;)
+        hit = row[w] == tag ? w : hit;
+    return hit;
+}
+
+/**
+ * Index of the lowest way of @p row that holds @p tag, else @p width.
+ * @p width is a multiple of four and at most 64. Compares four ways
+ * at a time with no data-dependent branch: SSE2 (baseline on x86-64)
+ * where the host has it, matchTagScalar() elsewhere.
+ */
+inline unsigned
+matchTag(const std::uint32_t *row, unsigned width, std::uint32_t tag)
+{
+#if defined(__SSE2__)
+    const __m128i key = _mm_set1_epi32(static_cast<int>(tag));
+    auto group = [row, key](unsigned w) {
+        return _mm_cmpeq_epi32(
+            _mm_loadu_si128(reinterpret_cast<const __m128i *>(row + w)),
+            key);
+    };
+    std::uint64_t hits = 0;
+    if (width == 16) {
+        // A 16-way row (both L2 presets): narrow the four groups'
+        // lanes to one byte each, so one movemask gives the mask.
+        hits = static_cast<std::uint32_t>(_mm_movemask_epi8(
+            _mm_packs_epi16(_mm_packs_epi32(group(0), group(4)),
+                            _mm_packs_epi32(group(8), group(12)))));
+    } else {
+        for (unsigned w = 0; w < width; w += 4)
+            hits |= static_cast<std::uint64_t>(_mm_movemask_ps(
+                        _mm_castsi128_ps(group(w))))
+                    << w;
+    }
+    // ctz64(0) is 64, at least any width.
+    return std::min(ctz64(hits), width);
+#else
+    return matchTagScalar(row, width, tag);
+#endif
+}
+
+/**
  * In-flight line fills for secondary-miss merging: a flat
  * open-addressed line→fill-tick map with power-of-two capacity,
  * linear probing and backward-shift erase. A slot is 16 bytes: the
@@ -98,7 +159,9 @@ class CompletionRing
  * invalidation at a kernel boundary — costs O(1) however far the
  * table once grew; every 255th clear() resets the stamps once.
  * Capacity is kept across clears and erases, so a table that has
- * reached its working size allocates nothing.
+ * reached its working size allocates nothing. With a clock set, the
+ * table first drops the entries that clock has made dead before it
+ * grows, so its capacity follows the entries still in flight.
  */
 class InflightTable
 {
@@ -126,6 +189,17 @@ class InflightTable
     void eraseUpTo(Tick t);
     void clear();
     std::size_t size() const { return count; }
+    std::size_t capacity() const { return slots.size(); }
+
+    /**
+     * Bind the clock of the owning simulation: no
+     * lookup is ever made before @p sim's current tick, so an entry
+     * whose fill tick is at or before it can no longer delay a hit.
+     * Before it grows, the table drops every such entry, and grows
+     * only if that left it more than a quarter full (so the sweeps
+     * stay amortized O(1) per insert).
+     */
+    void setClock(const sim::Simulation *sim) { clock = sim; }
 
   private:
     static constexpr std::uint64_t kGenMask = (1u << kGenBits) - 1;
@@ -155,12 +229,15 @@ class InflightTable
     /** Slot holding @p line, else the empty slot ending its run. */
     std::size_t probe(Addr line) const;
     void eraseSlot(std::size_t i);
+    /** Room for one more entry: a clock-floor purge, else grow(). */
+    void makeRoom();
     void grow();
 
     std::vector<Slot> slots;
     unsigned shift = 64 - floorLog2(kMinSlots);
     std::size_t count = 0;
     std::uint64_t gen = 1; ///< in [1, kGenMask]; 0 marks an erased slot
+    const sim::Simulation *clock = nullptr;
 };
 
 /**
@@ -173,8 +250,28 @@ class Cache : public MemLevel
     Cache(const CacheParams &params, MemLevel *downstream,
           stats::StatGroup *parent);
 
+    /**
+     * Panics if @p addr's line number does not fit a 32-bit tag
+     * (device memory is 4 GB: 2^25 lines of 128 B).
+     */
     MemResult access(Tick issue, Addr addr, AccessKind kind,
                      unsigned bytes) override;
+
+    /**
+     * Bind the owning simulation's clock. Every later
+     * access must issue at or after its current tick (a checked build
+     * asserts it); the in-flight table then drops fills completed by
+     * that tick before it grows (InflightTable::setClock).
+     */
+    void
+    setClock(const sim::Simulation *sim)
+    {
+        clock = sim;
+        inflight.setClock(sim);
+    }
+
+    /** Slots of the in-flight fill table (tests bound its growth). */
+    std::size_t inflightCapacity() const { return inflight.capacity(); }
 
     /**
      * Drop all lines (kernel-boundary behaviour for L1s), writing
@@ -213,9 +310,11 @@ class Cache : public MemLevel
     double numWritebacks() const { return writebacks.value(); }
 
   private:
-    /** Tag of an invalid way; no line address shifts to all ones. */
-    static constexpr std::uint64_t kInvalidTag =
-        static_cast<std::uint64_t>(-1);
+    /**
+     * Tag of an invalid way and of the padding ways; access() panics
+     * on a line number this large, so it never matches.
+     */
+    static constexpr std::uint32_t kInvalidTag = ~std::uint32_t{0};
 
     /** Per-way state besides the tag, which lives in Cache::tags. */
     struct Line
@@ -252,7 +351,7 @@ class Cache : public MemLevel
      * whose first way is @p set.
      */
     Fill fill(Tick start, Addr line_addr, std::size_t set,
-              std::uint64_t tag, unsigned bytes);
+              std::uint32_t tag, unsigned bytes);
 
     /** Index of the first way of @p line_addr's set. */
     std::size_t
@@ -262,11 +361,18 @@ class Cache : public MemLevel
         // hash table rows) do not pathologically alias.
         return static_cast<std::size_t>(
                    mixBits(line_addr >> lineShift) & setMask) *
-               p.ways;
+               rowWays;
+    }
+
+    /** Line address of way @p w's tag. */
+    Addr
+    lineAddr(std::size_t w) const
+    {
+        return static_cast<Addr>(tags[w]) << lineShift;
     }
 
     /** Install @p tag in way @p w as a clean line. */
-    Line &install(std::size_t w, std::uint64_t tag);
+    Line &install(std::size_t w, std::uint32_t tag);
 
     /** Write back way @p w's line downstream if it is dirty. */
     void writeBackIfDirty(Tick when, std::size_t w);
@@ -276,10 +382,16 @@ class Cache : public MemLevel
     std::uint64_t setMask = 0; ///< set count - 1 (a power of two)
     unsigned lineShift; ///< log2(lineBytes)
     /**
-     * Way tags, set count x ways, one set after another; kInvalidTag
-     * marks an invalid way. A hit scans only these.
+     * Ways per set row: p.ways rounded up to a multiple of four, so
+     * matchTag() compares whole groups; the padding ways stay
+     * kInvalidTag and are never installed.
      */
-    std::vector<std::uint64_t> tags;
+    unsigned rowWays;
+    /**
+     * Way tags, set count x rowWays, one set after another;
+     * kInvalidTag marks an invalid way. A hit scans only these.
+     */
+    std::vector<std::uint32_t> tags;
     std::vector<Line> lines; ///< parallel to tags
     /**
      * Bit w % 64 of word w / 64 is set once way w is installed and
@@ -293,6 +405,7 @@ class Cache : public MemLevel
     CompletionRing outstanding;
     /** In-flight line fills, for secondary-miss merging. */
     InflightTable inflight;
+    const sim::Simulation *clock = nullptr;
     Tick lruClock = 0;
     std::uint64_t accessesSincePurge = 0;
     Addr protBase = 0;

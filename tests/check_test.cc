@@ -21,6 +21,7 @@
 #include "sim/clock.hh"
 #include "sim/clocked.hh"
 #include "sim/event_queue.hh"
+#include "sim/simulation.hh"
 #include "stats/stats.hh"
 
 using namespace scusim;
@@ -100,6 +101,22 @@ TEST(CheckDeath, MemCompletionNeverPrecedesIssue)
     // A cold read misses and fills from the broken downstream.
     EXPECT_DEATH(c.access(100, 0, mem::AccessKind::Read, 4),
                  "precedes issue tick");
+}
+
+TEST(CheckDeath, CacheAccessBeforeTheClockPanics)
+{
+    SKIP_UNLESS_CHECKED();
+    // The in-flight table drops fills completed by the clock, which
+    // is sound only while no access is issued before it.
+    BrokenLevel unused;
+    stats::StatGroup root("t");
+    mem::Cache c(mem::CacheParams{}, &unused, &root);
+    sim::Simulation clock;
+    clock.advanceTo(100);
+    c.setClock(&clock);
+    c.access(100, 0, mem::AccessKind::Write, 4); // at the clock is fine
+    EXPECT_DEATH(c.access(99, 0, mem::AccessKind::Write, 4),
+                 "before the clock");
 }
 
 TEST(CheckDeath, HashSetIndexStaysInBounds)

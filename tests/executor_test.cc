@@ -90,6 +90,22 @@ TEST(Executor, JobsResolutionOrder)
     EXPECT_GE(executorJobs(), 1u);
 }
 
+TEST(Executor, MalformedJobsExits)
+{
+    // Each value used to be read by atoi: "2x" ran on 2 workers,
+    // the others fell back to every core with a warning.
+    for (const char *bad : {"2x", "abc", "0", "-3", "+2", " 2", "",
+                            "99999999999999999999"}) {
+        ::setenv("SCUSIM_JOBS", bad, 1);
+        EXPECT_EXIT(executorJobs(), ::testing::ExitedWithCode(2),
+                    "invalid SCUSIM_JOBS")
+            << "SCUSIM_JOBS='" << bad << "'";
+    }
+    ::setenv("SCUSIM_JOBS", "12", 1);
+    EXPECT_EQ(executorJobs(), 12u);
+    ::unsetenv("SCUSIM_JOBS");
+}
+
 TEST(Executor, ParallelRunMatchesSerialBitForBit)
 {
     auto plan = smallMatrix();

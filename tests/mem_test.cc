@@ -21,6 +21,7 @@
 #include "mem/dram.hh"
 #include "mem/mem_system.hh"
 #include "sim/clock.hh"
+#include "sim/simulation.hh"
 #include "stats/stats.hh"
 
 using namespace scusim;
@@ -184,6 +185,68 @@ smallCache()
 }
 
 } // namespace
+
+TEST(MatchTag, AgreesWithNaiveScan)
+{
+    // Rows of 1, 4, 12 and 16 ways (one padded to a group of four;
+    // 16 has a path of its own), with invalid and padding ways, keys
+    // that are absent or present once, and tags near the top of 32
+    // bits and of a 4 GB device's 2^25 lines, where a signed or
+    // narrowed compare would go wrong.
+    const std::uint32_t invalid = ~std::uint32_t{0};
+    Rng rng(0x7a95);
+    auto draw = [&rng] {
+        switch (rng.below(4)) {
+          case 0:
+            return static_cast<std::uint32_t>(invalid - 1 -
+                                              rng.below(8));
+          case 1:
+            return static_cast<std::uint32_t>((1u << 25) - 1 -
+                                              rng.below(8));
+          case 2:
+            return static_cast<std::uint32_t>(0x80000000u ^
+                                              rng.below(8));
+          default:
+            return static_cast<std::uint32_t>(rng.below(4096));
+        }
+    };
+    for (unsigned ways : {1u, 4u, 12u, 16u}) {
+        const unsigned width = (ways + 3) / 4 * 4;
+        unsigned hits = 0, misses = 0;
+        for (int k = 0; k < 20000; ++k) {
+            std::vector<std::uint32_t> row(width, invalid);
+            for (unsigned w = 0; w < ways; ++w) {
+                if (rng.chance(0.2))
+                    continue; // an invalid way
+                std::uint32_t t;
+                do {
+                    t = draw();
+                } while (std::find(row.begin(), row.end(), t) !=
+                         row.end());
+                row[w] = t;
+            }
+            // Half the keys are taken from a valid way of the row.
+            std::uint32_t key =
+                rng.chance(0.5) ? row[rng.below(ways)] : invalid;
+            if (key == invalid)
+                key = draw();
+            unsigned want = width;
+            for (unsigned w = 0; w < width; ++w) {
+                if (row[w] == key) {
+                    want = w;
+                    break;
+                }
+            }
+            ASSERT_EQ(matchTag(row.data(), width, key), want)
+                << ways << " ways, trial " << k;
+            ASSERT_EQ(matchTagScalar(row.data(), width, key), want)
+                << ways << " ways, trial " << k;
+            want < width ? ++hits : ++misses;
+        }
+        EXPECT_GT(hits, 1000u) << ways << " ways";
+        EXPECT_GT(misses, 1000u) << ways << " ways";
+    }
+}
 
 TEST(Cache, MissThenHit)
 {
@@ -555,74 +618,95 @@ TEST(CacheInflight, RandomTraceMatchesUnorderedMapModel)
     // or before its issue tick. Hits and fill ticks come from the
     // cache itself (the tag array is not under test); the model
     // predicts every hit's completion tick.
-    CacheParams p = smallCache();
-    p.ways = 4;    // 8 sets x 4 ways: a 96-line hot set misses often
-    p.banks = 4;   // per-bank starts let issue order run backwards
-    p.mshrs = 1 << 20; // no MSHR stalls: bank start is the start
-    JitterMem dram;
-    stats::StatGroup g("t");
-    Cache c(p, &dram, &g);
+    //
+    // The trace runs twice: without a clock, and with a clock that
+    // trails every later issue tick. The clock lets the table drop
+    // the fills it has passed before growing; the model, which knows
+    // no clock, must still predict every answer, and the table must
+    // stay smaller than the one that waits for the purges.
+    std::size_t capacity[2] = {0, 0};
+    for (const bool clocked : {false, true}) {
+        SCOPED_TRACE(clocked ? "with a clock" : "without a clock");
+        CacheParams p = smallCache();
+        p.ways = 4;    // 8 sets x 4 ways: a 96-line hot set misses often
+        p.banks = 4;   // per-bank starts let issue order run backwards
+        p.mshrs = 1 << 20; // no MSHR stalls: bank start is the start
+        JitterMem dram;
+        stats::StatGroup g("t");
+        Cache c(p, &dram, &g);
+        sim::Simulation clock;
+        if (clocked)
+            c.setClock(&clock);
 
-    std::unordered_map<Addr, Tick> inflight;
-    std::vector<Tick> bankFree(p.banks, 0);
-    std::uint64_t since_purge = 0;
-    unsigned purges = 0, waited = 0, expired = 0;
-    std::size_t peak = 0;
+        std::unordered_map<Addr, Tick> inflight;
+        std::vector<Tick> bankFree(p.banks, 0);
+        std::uint64_t since_purge = 0;
+        unsigned purges = 0, waited = 0, expired = 0;
+        std::size_t peak = 0;
 
-    Rng rng(0xcac4e);
-    Tick base = 0;
-    const int accesses = 3 * 8192 + 5000;
-    for (int k = 0; k < accesses; ++k) {
-        base += rng.below(3);
-        const Tick issue = base + rng.below(256);
-        // A hot set that hits, plus cold lines whose fills pile up
-        // in the table until a purge drops them.
-        const Addr line =
-            (rng.chance(0.7) ? rng.below(96) : rng.below(1 << 20)) *
-            p.lineBytes;
-        const std::uint64_t roll = rng.below(10);
-        const AccessKind kind = roll < 7   ? AccessKind::Read
-                                : roll < 9 ? AccessKind::Atomic
-                                           : AccessKind::Write;
+        Rng rng(0xcac4e);
+        Tick base = 0;
+        const int accesses = 3 * 8192 + 5000;
+        for (int k = 0; k < accesses; ++k) {
+            base += rng.below(3);
+            const Tick issue = base + rng.below(256);
+            // Every later issue tick is at least base.
+            clock.advanceTo(base);
+            // A hot set that hits, plus cold lines whose fills pile
+            // up in the table until a purge drops them.
+            const Addr line =
+                (rng.chance(0.7) ? rng.below(96) : rng.below(1 << 20)) *
+                p.lineBytes;
+            const std::uint64_t roll = rng.below(10);
+            const AccessKind kind = roll < 7   ? AccessKind::Read
+                                    : roll < 9 ? AccessKind::Atomic
+                                               : AccessKind::Write;
 
-        const Tick occupancy =
-            p.bankCycle +
-            (kind == AccessKind::Atomic ? p.atomicExtra : 0);
-        Tick &free = bankFree[(line / p.lineBytes) % p.banks];
-        const Tick start = std::max(issue, free);
-        free = start + occupancy;
-        if (++since_purge >= 8192) {
-            since_purge = 0;
-            ++purges;
-            std::erase_if(inflight, [issue](const auto &kv) {
-                return kv.second <= issue;
-            });
-        }
-
-        const MemResult r = c.access(issue, line + 4, kind, 4);
-        if (r.hit) {
-            Tick avail = start + p.hitLatency;
-            if (auto it = inflight.find(line); it != inflight.end()) {
-                if (it->second > start) {
-                    avail = std::max(avail, it->second);
-                    ++waited;
-                } else {
-                    inflight.erase(it);
-                    ++expired;
-                }
+            const Tick occupancy =
+                p.bankCycle +
+                (kind == AccessKind::Atomic ? p.atomicExtra : 0);
+            Tick &free = bankFree[(line / p.lineBytes) % p.banks];
+            const Tick start = std::max(issue, free);
+            free = start + occupancy;
+            if (++since_purge >= 8192) {
+                since_purge = 0;
+                ++purges;
+                std::erase_if(inflight, [issue](const auto &kv) {
+                    return kv.second <= issue;
+                });
             }
-            const Tick want =
-                kind == AccessKind::Write ? start + 1 : avail;
-            ASSERT_EQ(r.complete, want) << "access " << k;
-        } else if (kind != AccessKind::Write) {
-            inflight[line] = r.complete - p.hitLatency;
-            peak = std::max(peak, inflight.size());
+
+            const MemResult r = c.access(issue, line + 4, kind, 4);
+            if (r.hit) {
+                Tick avail = start + p.hitLatency;
+                if (auto it = inflight.find(line);
+                    it != inflight.end()) {
+                    if (it->second > start) {
+                        avail = std::max(avail, it->second);
+                        ++waited;
+                    } else {
+                        inflight.erase(it);
+                        ++expired;
+                    }
+                }
+                const Tick want =
+                    kind == AccessKind::Write ? start + 1 : avail;
+                ASSERT_EQ(r.complete, want) << "access " << k;
+            } else if (kind != AccessKind::Write) {
+                inflight[line] = r.complete - p.hitLatency;
+                peak = std::max(peak, inflight.size());
+            }
         }
+        EXPECT_GE(purges, 3u);
+        EXPECT_GT(waited, 100u);
+        EXPECT_GT(expired, 100u);
+        EXPECT_GT(peak, 1000u) << "the table never had to grow";
+        capacity[clocked] = c.inflightCapacity();
     }
-    EXPECT_GE(purges, 3u);
-    EXPECT_GT(waited, 100u);
-    EXPECT_GT(expired, 100u);
-    EXPECT_GT(peak, 1000u) << "the table never had to grow";
+    // Fills run at most 600 + 255 ticks past the clock and the clock
+    // gains one tick an access, so under 900 entries are ever live.
+    EXPECT_GE(capacity[0], 4096u);
+    EXPECT_LE(capacity[1], 2048u);
 }
 
 TEST(Cache, MshrStallsMatchPriorityQueueModel)
@@ -921,6 +1005,22 @@ TEST(DramMap, NonPowerOfTwoGeometryPanics)
     EXPECT_DEATH(Dram(p, clk, &g), "row size must be 2\\^n");
 }
 
+TEST(Cache, TagBeyond32BitsPanics)
+{
+    FakeMem dram;
+    stats::StatGroup g("t");
+    Cache c(smallCache(), &dram, &g);
+    // The last line of a 4 GB device, and the largest 32-bit tag a
+    // way can hold, are fine; one line further does not fit.
+    EXPECT_FALSE(c.access(0, (Addr{4} << 30) - 128, AccessKind::Read,
+                          4).hit);
+    const Addr top = Addr{0xfffffffe} * 128;
+    EXPECT_FALSE(c.access(0, top, AccessKind::Read, 4).hit);
+    EXPECT_TRUE(c.access(1000, top, AccessKind::Read, 4).hit);
+    EXPECT_DEATH(c.access(2000, top + 128, AccessKind::Read, 4),
+                 "does not fit 32 bits");
+}
+
 TEST(Cache, NonPowerOfTwoGeometryPanics)
 {
     FakeMem dram;
@@ -931,6 +1031,13 @@ TEST(Cache, NonPowerOfTwoGeometryPanics)
     p = smallCache();
     p.banks = 3;
     EXPECT_DEATH(Cache(p, &dram, &g), "bank count 3 must be 2\\^n");
+    // A tag match covers at most 64 ways.
+    p = smallCache();
+    p.ways = 0;
+    EXPECT_DEATH(Cache(p, &dram, &g), "0 ways, want 1 to 64");
+    p.ways = 128;
+    p.sizeBytes = 2 * 128 * 128;
+    EXPECT_DEATH(Cache(p, &dram, &g), "128 ways, want 1 to 64");
     // The power-of-two geometries of the presets and tests build.
     p = smallCache();
     p.banks = 4;

@@ -5,12 +5,16 @@ Runs perfbench/run.py for one workload in alternating pairs, each
 run at run.py's default length: a
 `git archive` copy of --ref, built in a directory of its own, against
 this checkout (the "change"). Which side runs first alternates from
-pair to pair. Prints:
+pair to pair, and an untimed warm-up run of the first side
+(WARMUP_SECONDS long) precedes each pair, so neither timed run is the
+first on a cold host. Prints:
 
 - each pair's --metric (default wall_ref) and one companion metric
   (cpu_ref for wall_ref, else wall_ref), each side's median and
   quartiles of both, and how many pairs the change won on --metric in
   its BENCHMARK.json `better` direction (ties count for neither side);
+- in how many pairs the side that ran second was the worse one on
+  --metric, so a run-order effect shows (about half is no effect);
 - a `gain verdict: met|not met` line: met when the change won at
   least 9/10 of the pairs and its median --metric gain exceeds the
   parent's IQR;
@@ -39,6 +43,8 @@ import sys
 import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+# Length of the untimed run before each timed pair, in seconds.
+WARMUP_SECONDS = 10
 
 
 def load_json(*parts):
@@ -118,9 +124,13 @@ def timed_pairs(args, sides, reference, bench):
     lower = next(m for m in bench["end_to_end"]
                  if m["name"] == metric)["better"] == "lower"
     wins = 0
+    second_worse = 0
     for i in range(args.pairs):
         order = ("parent", "change") if i % 2 == 0 else \
             ("change", "parent")
+        if not run(sides[order[0]], args, 0, WARMUP_SECONDS)[0]:
+            failures.append("pair %d: %s warm-up run failed" %
+                            (i + 1, order[0]))
         got = {}
         for side in order:
             ok, metrics, cells = run(sides[side], args, 0)
@@ -135,6 +145,11 @@ def timed_pairs(args, sides, reference, bench):
         if a is not None and b is not None and \
                 (b < a if lower else b > a):
             wins += 1
+        first = got[order[0]].get(metric)
+        second = got[order[1]].get(metric)
+        if first is not None and second is not None and \
+                (second > first if lower else second < first):
+            second_worse += 1
         print("pair %2d (%s first): parent %12.4f  change %12.4f  "
               "(%s parent %.4f, change %.4f)" %
               (i + 1, order[0], a or float("nan"), b or float("nan"),
@@ -155,6 +170,8 @@ def timed_pairs(args, sides, reference, bench):
                   "(IQR %.4f, n=%d)" % (side, name, q2, q1, q3, q3 - q1,
                                         len(vals)))
     print("change won %d of %d pairs on %s" % (wins, args.pairs, metric))
+    print("run order: the side that ran second was worse on %s in %d "
+          "of %d pairs" % (metric, second_worse, args.pairs))
     # A claimed gain needs 9 wins in 10 pairs and a median gain larger
     # than the parent's IQR, in the metric's better direction.
     met = False

@@ -105,7 +105,8 @@ main()
         // iteration's labels, as the parallel kernel would.
         for (std::size_t u = 0; u < n; ++u)
             changed[u] = 0;
-        std::vector<std::uint32_t> prev(labels.host());
+        std::vector<std::uint32_t> prev(labels.host().begin(),
+                                        labels.host().end());
         for (std::size_t t = 0; t < frontier_n; ++t) {
             NodeId u = frontier[t];
             for (EdgeId e = gb.offsets[u]; e < gb.offsets[u + 1];

@@ -1,5 +1,6 @@
 #include "alg/bfs.hh"
 
+#include <algorithm>
 #include <deque>
 
 #include "common/logging.hh"
@@ -139,7 +140,7 @@ BfsRunner::beginRun(const AlgOptions &opt)
 
     // Initialization kernel: dist <- inf, visited <- 0 (memset-like
     // streaming stores).
-    std::fill(dist.host().begin(), dist.host().end(), infDist);
+    std::ranges::fill(dist.host(), infDist);
     std::fill(visited.begin(), visited.end(), 0);
     gpuWarpKernel(
         sys, "bfs_init", gpu::Phase::Processing, n,

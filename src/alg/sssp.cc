@@ -251,7 +251,7 @@ SsspRunner::beginRun(const AlgOptions &opt)
             1, static_cast<std::uint32_t>(avg * 4.0));
     }
 
-    std::fill(dist.host().begin(), dist.host().end(), infDist);
+    std::ranges::fill(dist.host(), infDist);
     gpuWarpKernel(
         sys, "sssp_init", gpu::Phase::Processing, n,
         [&](gpu::WarpBuilder &w) {

@@ -9,13 +9,18 @@
 #ifndef SCUSIM_MEM_ADDRESS_SPACE_HH
 #define SCUSIM_MEM_ADDRESS_SPACE_HH
 
+#include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "common/bits.hh"
 #include "common/logging.hh"
 #include "common/types.hh"
+#include "sim/check.hh"
 
 namespace scusim::mem
 {
@@ -99,34 +104,90 @@ class AddressSpace
 };
 
 /**
- * Convenience wrapper tying a host-side vector to a simulated region:
- * the functional data lives in the host vector while timing uses the
- * simulated addresses.
+ * Map @p bytes (> 0) of private anonymous memory. The kernel hands
+ * out its pages zeroed on first touch, so an untouched page costs
+ * address space only. Throws std::bad_alloc if the mapping fails.
+ */
+void *mapZeroedPages(std::size_t bytes);
+
+/** Release a mapping made by mapZeroedPages(). */
+void unmapPages(void *p, std::size_t bytes);
+
+/**
+ * Functional data of one simulated region: the values live in host
+ * memory while timing uses the simulated addresses. Each non-empty
+ * array owns one anonymous mapping, so its elements read as zero
+ * (T{}) until written, and only the pages a run writes become
+ * resident; worst-case capacities cost address space, not memory.
  */
 template <typename T>
 class DeviceArray
 {
+    static_assert(std::is_arithmetic_v<T>,
+                  "a zero page must read as T{}");
+
   public:
     DeviceArray() = default;
 
     DeviceArray(AddressSpace &as, const std::string &name,
                 std::size_t n)
-        : data_(n), base_(as.alloc(name, n * sizeof(T)))
+    {
+        allocate(as, name, n);
+    }
+
+    DeviceArray(DeviceArray &&other) noexcept
+        : data_(std::exchange(other.data_, nullptr)),
+          size_(std::exchange(other.size_, 0)),
+          base_(std::exchange(other.base_, 0))
     {
     }
 
+    DeviceArray &
+    operator=(DeviceArray &&other) noexcept
+    {
+        if (this != &other) {
+            release();
+            data_ = std::exchange(other.data_, nullptr);
+            size_ = std::exchange(other.size_, 0);
+            base_ = std::exchange(other.base_, 0);
+        }
+        return *this;
+    }
+
+    DeviceArray(const DeviceArray &) = delete;
+    DeviceArray &operator=(const DeviceArray &) = delete;
+
+    ~DeviceArray() { release(); }
+
+    /** Replace the contents with @p n zeroes in a new region. */
     void
     allocate(AddressSpace &as, const std::string &name, std::size_t n)
     {
-        data_.assign(n, T{});
+        release();
         base_ = as.alloc(name, n * sizeof(T));
+        if (n > 0)
+            data_ = static_cast<T *>(mapZeroedPages(n * sizeof(T)));
+        size_ = n;
     }
 
-    T &operator[](std::size_t i) { return data_[i]; }
-    const T &operator[](std::size_t i) const { return data_[i]; }
+    T &
+    operator[](std::size_t i)
+    {
+        sim_check(i < size_, "device array index %zu out of range "
+                  "(size %zu)", i, size_);
+        return data_[i];
+    }
 
-    std::size_t size() const { return data_.size(); }
-    bool empty() const { return data_.empty(); }
+    const T &
+    operator[](std::size_t i) const
+    {
+        sim_check(i < size_, "device array index %zu out of range "
+                  "(size %zu)", i, size_);
+        return data_[i];
+    }
+
+    std::size_t size() const { return size_; }
+    bool empty() const { return size_ == 0; }
 
     /** Simulated address of element @p i. */
     Addr
@@ -137,11 +198,21 @@ class DeviceArray
 
     Addr base() const { return base_; }
 
-    std::vector<T> &host() { return data_; }
-    const std::vector<T> &host() const { return data_; }
+    std::span<T> host() { return {data_, size_}; }
+    std::span<const T> host() const { return {data_, size_}; }
 
   private:
-    std::vector<T> data_;
+    void
+    release()
+    {
+        if (data_)
+            unmapPages(data_, size_ * sizeof(T));
+        data_ = nullptr;
+        size_ = 0;
+    }
+
+    T *data_ = nullptr;
+    std::size_t size_ = 0;
     Addr base_ = 0;
 };
 

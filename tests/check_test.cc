@@ -13,6 +13,7 @@
 
 #include "common/bits.hh"
 #include "gpu/sm.hh"
+#include "mem/address_space.hh"
 #include "mem/cache.hh"
 #include "mem/mem_system.hh"
 #include "mem/request.hh"
@@ -126,6 +127,18 @@ TEST(CheckDeath, HashSetIndexStaysInBounds)
     scu::UniqueFilterTable t({4096, 4, 4}, as, "h");
     EXPECT_EQ(t.setAddr(0), t.baseAddr());
     EXPECT_DEATH(t.setAddr(t.numSets()), "out of");
+}
+
+TEST(CheckDeath, DeviceArrayIndexInBounds)
+{
+    SKIP_UNLESS_CHECKED();
+    mem::AddressSpace as(1ULL << 20);
+    mem::DeviceArray<std::uint32_t> a(as, "a", 4);
+    a[3] = 7;
+    const auto &c = a;
+    EXPECT_EQ(c[3], 7u);
+    EXPECT_DEATH(a[4] = 1, "out of range");
+    EXPECT_DEATH((void)c[4], "out of range");
 }
 
 TEST(CheckDeath, OccupancyAboveCapacityPanics)

@@ -7,11 +7,15 @@
  */
 
 #include <gtest/gtest.h>
+#include <sys/mman.h>
+#include <unistd.h>
 
 #include <algorithm>
+#include <cerrno>
 #include <optional>
 #include <queue>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hh"
@@ -55,6 +59,117 @@ TEST(DeviceArray, AddressMath)
     EXPECT_EQ(arr.addrOf(7), arr.base() + 28);
     arr[3] = 99;
     EXPECT_EQ(arr[3], 99u);
+}
+
+namespace
+{
+
+/** Resident bytes of the mapped range [p, p + bytes). */
+std::size_t
+residentBytes(const void *p, std::size_t bytes)
+{
+    const auto page = static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
+    std::vector<unsigned char> vec((bytes + page - 1) / page);
+    EXPECT_EQ(mincore(const_cast<void *>(p), bytes, vec.data()), 0);
+    std::size_t resident = 0;
+    for (unsigned char v : vec)
+        resident += (v & 1) ? page : 0;
+    return resident;
+}
+
+} // namespace
+
+TEST(DeviceArray, ReadsAreZero)
+{
+    AddressSpace as(1 << 24, 128);
+    DeviceArray<std::uint32_t> a(as, "a", 5000);
+    DeviceArray<double> d(as, "d", 700);
+    for (std::size_t i = 0; i < a.size(); ++i)
+        ASSERT_EQ(a[i], 0u) << i;
+    for (std::size_t i = 0; i < d.size(); ++i)
+        ASSERT_EQ(d[i], 0.0) << i;
+    a[17] = 3;
+    a.allocate(as, "a2", 5000);
+    EXPECT_EQ(a[17], 0u);
+}
+
+TEST(DeviceArray, ResidencyIsLazy)
+{
+    constexpr std::size_t bytes = 64ULL << 20;
+    constexpr std::size_t hugePage = 2ULL << 20;
+    AddressSpace as;
+    DeviceArray<std::uint8_t> a(as, "big", bytes);
+    const void *p = a.host().data();
+    EXPECT_EQ(residentBytes(p, bytes), 0u);
+
+    // Each write touches a different 2 MB stretch, so even with
+    // transparent huge pages on it faults in at most one huge page.
+    constexpr std::size_t writes = 5;
+    for (std::size_t k = 0; k < writes; ++k)
+        a[k * (bytes / writes)] = 1;
+    const std::size_t resident = residentBytes(p, bytes);
+    EXPECT_GT(resident, 0u);
+    EXPECT_LE(resident, writes * hugePage);
+}
+
+TEST(DeviceArray, MoveKeepsAddressesAndEmptiesSource)
+{
+    AddressSpace as(1 << 20, 128);
+    DeviceArray<std::uint32_t> a(as, "a", 100);
+    a[5] = 7;
+    const Addr base = a.base();
+    const std::uint32_t *data = a.host().data();
+
+    DeviceArray<std::uint32_t> b(std::move(a));
+    EXPECT_TRUE(a.empty());
+    EXPECT_EQ(a.host().data(), nullptr);
+    EXPECT_EQ(b.size(), 100u);
+    EXPECT_EQ(b.base(), base);
+    EXPECT_EQ(b.addrOf(5), base + 20);
+    EXPECT_EQ(b.host().data(), data);
+    EXPECT_EQ(b[5], 7u);
+
+    DeviceArray<std::uint32_t> c(as, "c", 10);
+    c = std::move(b);
+    EXPECT_TRUE(b.empty());
+    EXPECT_EQ(c.size(), 100u);
+    EXPECT_EQ(c.base(), base);
+    EXPECT_EQ(c[5], 7u);
+}
+
+TEST(DeviceArray, ReallocateReleasesOldMapping)
+{
+    constexpr std::size_t bytes = 16ULL << 20;
+    AddressSpace as(1 << 30, 128);
+    DeviceArray<std::uint8_t> a(as, "a", bytes);
+    void *old = a.host().data();
+    a[0] = 1;
+    const auto page = static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
+    std::vector<unsigned char> vec(bytes / page);
+
+    a.allocate(as, "b", 1);
+    // The old range now holds at most the new one-page mapping, so
+    // some of it is unmapped.
+    errno = 0;
+    EXPECT_EQ(mincore(old, bytes, vec.data()), -1);
+    EXPECT_EQ(errno, ENOMEM);
+    EXPECT_EQ(a.size(), 1u);
+    EXPECT_EQ(a[0], 0u);
+}
+
+TEST(DeviceArray, ZeroLengthHasNoMapping)
+{
+    AddressSpace as(1 << 20, 128);
+    DeviceArray<std::uint32_t> a(as, "none", 0);
+    EXPECT_TRUE(a.empty());
+    EXPECT_EQ(a.host().data(), nullptr);
+    EXPECT_EQ(a.base() % 128, 0u);
+
+    a.allocate(as, "some", 8);
+    EXPECT_NE(a.host().data(), nullptr);
+    a.allocate(as, "none again", 0);
+    EXPECT_TRUE(a.empty());
+    EXPECT_EQ(a.host().data(), nullptr);
 }
 
 TEST(Coalescer, FullyCoalescedWarp)

@@ -56,13 +56,6 @@ runKey(const RunConfig &cfg, const graph::CsrGraph *graph)
         os << "|guards=" << cfg.guards.tickBudget << ","
            << cfg.guards.stallWindow;
     }
-    // Sharding changes the execution path (and, with more than one
-    // device, the system itself). Single-device non-sharded runs keep
-    // their historical keys.
-    if (cfg.deviceCount > 1)
-        os << "|dev=" << cfg.deviceCount;
-    else if (cfg.sharded)
-        os << "|sharded";
     // A bare pointer only means "some ad-hoc graph in this process",
     // which is all a memo key needs.
     if (graph)
@@ -73,12 +66,8 @@ runKey(const RunConfig &cfg, const graph::CsrGraph *graph)
 std::string
 runLabel(const RunConfig &cfg)
 {
-    std::string label = to_string(cfg.primitive) + "/" +
-                        cfg.systemName + "/" + cfg.dataset + "/" +
-                        to_string(cfg.mode);
-    if (cfg.deviceCount > 1)
-        label += "/dev" + std::to_string(cfg.deviceCount);
-    return label;
+    return to_string(cfg.primitive) + "/" + cfg.systemName + "/" +
+           cfg.dataset + "/" + to_string(cfg.mode);
 }
 
 ExperimentPlan::ExperimentPlan()
@@ -132,14 +121,6 @@ ExperimentPlan::modesFor(
 {
     axesDeclared = true;
     modeFn = std::move(f);
-    return *this;
-}
-
-ExperimentPlan &
-ExperimentPlan::deviceCounts(std::vector<unsigned> v)
-{
-    axesDeclared = true;
-    deviceCountAxis = std::move(v);
     return *this;
 }
 
@@ -230,29 +211,26 @@ ExperimentPlan::expand() const
             for (const auto &ds : datasetAxis) {
                 for (ScuMode mode : modes) {
                     for (const auto &var : vars) {
-                        for (unsigned dc : deviceCountAxis) {
-                            RunConfig cfg;
-                            cfg.systemName = sys;
-                            cfg.primitive = prim;
-                            cfg.dataset = ds;
-                            cfg.mode = mode;
-                            cfg.scale = scaleValue;
-                            cfg.seed = seedValue;
-                            cfg.alg = algValue;
-                            cfg.deviceCount = dc;
-                            if (!ablateVariants.empty())
-                                cfg.scuOverride = var.second;
-                            PlannedRun r;
-                            r.cfg = std::move(cfg);
-                            r.graph = graphPtr;
-                            r.key = runKey(r.cfg, r.graph);
-                            r.label = runLabel(r.cfg);
-                            if (!ablateVariants.empty() &&
-                                r.cfg.mode != ScuMode::GpuOnly)
-                                r.label += "/" + ablateAxis + "=" +
-                                           var.first;
-                            push(std::move(r));
-                        }
+                        RunConfig cfg;
+                        cfg.systemName = sys;
+                        cfg.primitive = prim;
+                        cfg.dataset = ds;
+                        cfg.mode = mode;
+                        cfg.scale = scaleValue;
+                        cfg.seed = seedValue;
+                        cfg.alg = algValue;
+                        if (!ablateVariants.empty())
+                            cfg.scuOverride = var.second;
+                        PlannedRun r;
+                        r.cfg = std::move(cfg);
+                        r.graph = graphPtr;
+                        r.key = runKey(r.cfg, r.graph);
+                        r.label = runLabel(r.cfg);
+                        if (!ablateVariants.empty() &&
+                            r.cfg.mode != ScuMode::GpuOnly)
+                            r.label += "/" + ablateAxis + "=" +
+                                       var.first;
+                        push(std::move(r));
                     }
                 }
             }

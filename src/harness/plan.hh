@@ -84,12 +84,6 @@ class ExperimentPlan
     ExperimentPlan &
     modesFor(std::function<std::vector<ScuMode>(Primitive)> f);
 
-    /**
-     * Sharding axis: simulated device counts to sweep (default {1}).
-     * Multi-device cells are labeled with a "/dev<N>" suffix.
-     */
-    ExperimentPlan &deviceCounts(std::vector<unsigned> v);
-
     ExperimentPlan &scale(double s);
     ExperimentPlan &seed(std::uint64_t s);
     ExperimentPlan &algOptions(const alg::AlgOptions &o);
@@ -134,7 +128,6 @@ class ExperimentPlan
     std::vector<Primitive> primitiveAxis;
     std::vector<std::string> datasetAxis;
     std::vector<ScuMode> modeAxis;
-    std::vector<unsigned> deviceCountAxis = {1};
     std::function<std::vector<ScuMode>(Primitive)> modeFn;
     double scaleValue;
     std::uint64_t seedValue;

@@ -243,30 +243,12 @@ const Field runFields[] = {
      [](const RunRecord &r) {
          return std::to_string(r.result.algMetrics.scuFiltered);
      }},
-    {"deviceCount",
-     [](const RunRecord &r) {
-         return std::to_string(r.result.deviceCount);
-     }},
-    {"icnMessages",
-     [](const RunRecord &r) {
-         return std::to_string(r.result.icnMessages);
-     }},
-    {"icnBytes", [](const RunRecord &r) {
-         return std::to_string(r.result.icnBytes);
-     }},
+    // Constant columns of the artifact schema: every run is on one
+    // device and moves nothing between devices.
+    {"deviceCount", [](const RunRecord &) { return std::string("1"); }},
+    {"icnMessages", [](const RunRecord &) { return std::string("0"); }},
+    {"icnBytes", [](const RunRecord &) { return std::string("0"); }},
 };
-
-/** One device's JSON object within a record's "perDevice" array. */
-void
-jsonDevice(std::ostream &os, const DeviceMetrics &dm)
-{
-    os << "{\"gpuEdgeWork\":" << dm.gpuEdgeWork
-       << ",\"rawExpanded\":" << dm.rawExpanded
-       << ",\"scuFiltered\":" << dm.scuFiltered
-       << ",\"iterations\":" << dm.iterations
-       << ",\"scuBusyCycles\":" << dm.scuBusyCycles
-       << ",\"filterHitRate\":" << num(dm.filterHitRate()) << "}";
-}
 
 } // namespace
 
@@ -283,18 +265,6 @@ writeRunsJson(std::ostream &os, const PlanResults &res)
                << "\":" << f.get(r);
             first = false;
         }
-        // Per-device slices only exist for sharded runs; the array is
-        // omitted (not empty) elsewhere so single-device JSON stays
-        // exactly what it always was.
-        if (r.result.deviceCount > 1) {
-            os << ",\"perDevice\":[";
-            for (std::size_t d = 0; d < r.result.devices.size();
-                 ++d) {
-                os << (d ? "," : "");
-                jsonDevice(os, r.result.devices[d]);
-            }
-            os << "]";
-        }
         os << "}";
         firstRec = false;
     }
@@ -304,26 +274,10 @@ writeRunsJson(std::ostream &os, const PlanResults &res)
 void
 writeRunsCsv(std::ostream &os, const PlanResults &res)
 {
-    // Per-device columns appear only when some record is sharded
-    // wider than one device, so single-device CSVs keep their
-    // historical schema.
-    std::size_t maxDev = 0;
-    for (const auto &r : res.records()) {
-        if (r.result.deviceCount > 1)
-            maxDev = std::max(maxDev, r.result.devices.size());
-    }
-
     bool first = true;
     for (const auto &f : runFields) {
         os << (first ? "" : ",") << f.name;
         first = false;
-    }
-    for (std::size_t d = 0; d < maxDev; ++d) {
-        os << ",dev" << d << "_gpuEdgeWork"
-           << ",dev" << d << "_rawExpanded"
-           << ",dev" << d << "_scuFiltered"
-           << ",dev" << d << "_scuBusyCycles"
-           << ",dev" << d << "_filterHitRate";
     }
     os << "\n";
     for (const auto &r : res.records()) {
@@ -335,18 +289,6 @@ writeRunsCsv(std::ostream &os, const PlanResults &res)
             // our escape-free field set).
             os << (first ? "" : ",") << v;
             first = false;
-        }
-        for (std::size_t d = 0; d < maxDev; ++d) {
-            if (r.result.deviceCount > 1 &&
-                d < r.result.devices.size()) {
-                const DeviceMetrics &dm = r.result.devices[d];
-                os << "," << dm.gpuEdgeWork << ","
-                   << dm.rawExpanded << "," << dm.scuFiltered << ","
-                   << dm.scuBusyCycles << ","
-                   << num(dm.filterHitRate());
-            } else {
-                os << ",,,,,";
-            }
         }
         os << "\n";
     }

@@ -11,11 +11,9 @@
 #include "alg/bfs.hh"
 #include "alg/pagerank.hh"
 #include "alg/serial.hh"
-#include "alg/sharded.hh"
 #include "alg/sssp.hh"
 #include "common/logging.hh"
 #include "graph/datasets.hh"
-#include "graph/partition.hh"
 #include "stats/timeseries.hh"
 #include "trace/chrome_export.hh"
 
@@ -130,10 +128,7 @@ runPrimitive(const RunConfig &cfg, const graph::CsrGraph &g)
         cfg.systemName, cfg.mode != ScuMode::GpuOnly);
     if (cfg.scuOverride)
         sc.scu = *cfg.scuOverride;
-    sc.deviceCount = cfg.deviceCount ? cfg.deviceCount : 1;
     System sys(sc);
-    const unsigned numDev = sys.deviceCount();
-    const bool sharded = cfg.sharded || numDev > 1;
 
     // Observability. The sink lives in this run's Simulation; the
     // trace-driven timeseries live in a standalone group that never
@@ -161,35 +156,24 @@ runPrimitive(const RunConfig &cfg, const graph::CsrGraph &g)
             "filtered_nodes",
             "duplicate nodes filtered by the SCU so far",
             [sp] {
-                double total = 0;
-                if (sp->hasScu()) {
-                    for (DeviceId d = 0; d < sp->deviceCount(); ++d)
-                        total += static_cast<double>(
-                            sp->scuDevice(d).totals().filtered);
-                }
-                return total;
+                return sp->hasScu()
+                           ? static_cast<double>(
+                                 sp->scuDevice().totals().filtered)
+                           : 0.0;
             },
             stats::Timeseries::Mode::Cumulative);
         addSeries(
             "coalesced_accesses",
             "memory transactions reaching the L2 after coalescing",
             [sp] {
-                double total = 0;
-                for (DeviceId d = 0; d < sp->deviceCount(); ++d)
-                    total += static_cast<double>(
-                        sp->memory(d).l2().numAccesses());
-                return total;
+                return static_cast<double>(
+                    sp->memory().l2().numAccesses());
             },
             stats::Timeseries::Mode::Cumulative);
         addSeries(
             "dram_bytes",
             "DRAM bytes moved within each window",
-            [sp] {
-                double total = 0;
-                for (DeviceId d = 0; d < sp->deviceCount(); ++d)
-                    total += sp->memory(d).dramBytes();
-                return total;
-            },
+            [sp] { return sp->memory().dramBytes(); },
             stats::Timeseries::Mode::Delta);
     }
 
@@ -204,46 +188,21 @@ runPrimitive(const RunConfig &cfg, const graph::CsrGraph &g)
         opt.source = pickSource(g);
 
     RunResult r;
-    r.deviceCount = numDev;
-    std::unique_ptr<graph::GraphPartition> part;
-    std::vector<alg::AlgMetrics> perDev;
-    if (sharded) {
-        part = std::make_unique<graph::GraphPartition>(
-            graph::GraphPartition::build(g, numDev));
-    }
     switch (cfg.primitive) {
       case Primitive::Bfs: {
-        alg::BfsResult out;
-        if (sharded) {
-            out = alg::shardedBfs(sys, *part, opt, &perDev);
-        } else {
-            alg::BfsRunner bfs(sys, g);
-            out = bfs.run(opt);
-        }
+        const alg::BfsResult out = alg::BfsRunner(sys, g).run(opt);
         r.algMetrics = out.metrics;
         r.validated = validateBfs(g, opt.source, out.dist);
         break;
       }
       case Primitive::Sssp: {
-        alg::SsspResult out;
-        if (sharded) {
-            out = alg::shardedSssp(sys, g, *part, opt, &perDev);
-        } else {
-            alg::SsspRunner sssp(sys, g);
-            out = sssp.run(opt);
-        }
+        const alg::SsspResult out = alg::SsspRunner(sys, g).run(opt);
         r.algMetrics = out.metrics;
         r.validated = validateSssp(g, opt.source, out.dist);
         break;
       }
       case Primitive::Pr: {
-        alg::PrResult out;
-        if (sharded) {
-            out = alg::shardedPr(sys, *part, opt, &perDev);
-        } else {
-            alg::PageRankRunner pr(sys, g);
-            out = pr.run(opt);
-        }
+        const alg::PrResult out = alg::PageRankRunner(sys, g).run(opt);
         r.algMetrics = out.metrics;
         r.validated = validatePr(g, opt, out.ranks);
         break;
@@ -258,68 +217,19 @@ runPrimitive(const RunConfig &cfg, const graph::CsrGraph &g)
     r.energy = sys.energyModel().breakdown(
         gpu_act, scu_act, r.seconds, sys.hasScu());
 
-    if (numDev == 1) {
-        const auto &gt = sys.gpuDevice().totals();
-        r.gpuCompactionCycles = gt.compactionCycles;
-        r.gpuProcessingCycles = gt.processingCycles;
-        r.gpuThreadInstrs = static_cast<double>(
-            gt.compaction.threadInstrs + gt.processing.threadInstrs);
-        r.coalescingEfficiency = gt.processing.coalescingEfficiency();
-        r.txnsPerMemInstr = gt.processing.txnsPerMemInstr();
-        r.bwUtilization =
-            sys.memory().bandwidthUtilization(r.totalCycles);
-        r.l2HitRate = sys.memory().l2().hitRate();
-        r.dramLines = sys.memory().dram().numReads() +
-                      sys.memory().dram().numWrites();
-        if (sys.hasScu())
-            r.scuBusyCycles = sys.scuDevice().totals().busyCycles;
-    } else {
-        // Aggregate counters; ratios are recomputed from summed
-        // numerators/denominators, and bandwidth utilization is the
-        // mean over the N (identical-peak) memory systems.
-        gpu::KernelStats comp, proc;
-        double bw = 0, l2_weighted = 0, l2_accesses = 0;
-        for (DeviceId d = 0; d < numDev; ++d) {
-            const auto &gt = sys.gpuDevice(d).totals();
-            comp.accumulate(gt.compaction);
-            proc.accumulate(gt.processing);
-            r.gpuCompactionCycles += gt.compactionCycles;
-            r.gpuProcessingCycles += gt.processingCycles;
-            bw += sys.memory(d).bandwidthUtilization(r.totalCycles);
-            const auto &l2 = sys.memory(d).l2();
-            const auto acc =
-                static_cast<double>(l2.numAccesses());
-            l2_accesses += acc;
-            l2_weighted += l2.hitRate() * acc;
-            r.dramLines += sys.memory(d).dram().numReads() +
-                           sys.memory(d).dram().numWrites();
-            if (sys.hasScu())
-                r.scuBusyCycles += sys.scuDevice(d).totals().busyCycles;
-        }
-        r.gpuThreadInstrs = static_cast<double>(
-            comp.threadInstrs + proc.threadInstrs);
-        r.coalescingEfficiency = proc.coalescingEfficiency();
-        r.txnsPerMemInstr = proc.txnsPerMemInstr();
-        r.bwUtilization = bw / numDev;
-        r.l2HitRate = l2_accesses ? l2_weighted / l2_accesses : 0;
-    }
-
-    if (sharded) {
-        r.devices.resize(numDev);
-        for (DeviceId d = 0; d < numDev; ++d) {
-            DeviceMetrics &dm = r.devices[d];
-            dm.gpuEdgeWork = perDev[d].gpuEdgeWork;
-            dm.rawExpanded = perDev[d].rawExpanded;
-            dm.scuFiltered = perDev[d].scuFiltered;
-            dm.iterations = perDev[d].iterations;
-            if (sys.hasScu())
-                dm.scuBusyCycles = sys.scuDevice(d).totals().busyCycles;
-        }
-    }
-    if (sys.hasInterconnect()) {
-        r.icnMessages = sys.interconnect().messageCount();
-        r.icnBytes = sys.interconnect().byteCount();
-    }
+    const auto &gt = sys.gpuDevice().totals();
+    r.gpuCompactionCycles = gt.compactionCycles;
+    r.gpuProcessingCycles = gt.processingCycles;
+    r.gpuThreadInstrs = static_cast<double>(
+        gt.compaction.threadInstrs + gt.processing.threadInstrs);
+    r.coalescingEfficiency = gt.processing.coalescingEfficiency();
+    r.txnsPerMemInstr = gt.processing.txnsPerMemInstr();
+    r.bwUtilization = sys.memory().bandwidthUtilization(r.totalCycles);
+    r.l2HitRate = sys.memory().l2().hitRate();
+    r.dramLines = sys.memory().dram().numReads() +
+                  sys.memory().dram().numWrites();
+    if (sys.hasScu())
+        r.scuBusyCycles = sys.scuDevice().totals().busyCycles;
 
     if (cfg.dumpStatsTo)
         sys.statsRoot().dumpAll(*cfg.dumpStatsTo);

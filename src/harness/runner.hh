@@ -13,7 +13,6 @@
 #include <optional>
 #include <ostream>
 #include <string>
-#include <vector>
 
 #include "alg/options.hh"
 #include "energy/energy_model.hh"
@@ -63,37 +62,6 @@ struct RunConfig
      * served without regenerating trace artifacts.
      */
     trace::TraceConfig trace = {};
-    /**
-     * Number of simulated devices. With more than one, the graph is
-     * edge-cut partitioned and the primitive runs sharded, one
-     * fragment per device, exchanging boundary messages over the
-     * modeled interconnect.
-     */
-    unsigned deviceCount = 1;
-    /**
-     * Force the sharded driver even with deviceCount == 1 (the
-     * 1-fragment equivalence gate; byte-identical to the plain path).
-     */
-    bool sharded = false;
-};
-
-/** Per-device slice of a sharded run's work and SCU activity. */
-struct DeviceMetrics
-{
-    std::uint64_t gpuEdgeWork = 0;
-    std::uint64_t rawExpanded = 0;
-    std::uint64_t scuFiltered = 0;
-    std::uint64_t iterations = 0; ///< steps this device actually ran
-    Tick scuBusyCycles = 0;
-
-    /** Fraction of raw expansions the device's SCU filtered out. */
-    double
-    filterHitRate() const
-    {
-        return rawExpanded ? static_cast<double>(scuFiltered) /
-                                 static_cast<double>(rawExpanded)
-                           : 0;
-    }
 };
 
 /** Metrics of one run (the raw material of Figures 1 and 9-13). */
@@ -117,12 +85,6 @@ struct RunResult
 
     alg::AlgMetrics algMetrics;
     bool validated = false;
-
-    unsigned deviceCount = 1;
-    /** Per-device slices; filled only for sharded runs. */
-    std::vector<DeviceMetrics> devices;
-    std::uint64_t icnMessages = 0; ///< boundary messages moved
-    std::uint64_t icnBytes = 0;    ///< interconnect payload bytes
 
     /** Fraction of GPU busy time spent in stream compaction. */
     double

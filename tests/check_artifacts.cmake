@@ -1,12 +1,11 @@
-# Artifact golden: runs fig10_time at SCUSIM_SCALE=0.01 and
-# perf_shard --smoke into a fresh directory, then checks every file
-# named in the golden list against its committed SHA-256.
+# Artifact golden: runs fig10_time at SCUSIM_SCALE=0.01 into a fresh
+# directory, then checks every file named in the golden list against
+# its committed SHA-256.
 #
-#   cmake -DFIG10=<fig10_time> -DPERF_SHARD=<perf_shard>
-#         -DGOLDEN=<artifacts.sha256> -DWORKDIR=<scratch dir>
-#         -P check_artifacts.cmake
+#   cmake -DFIG10=<fig10_time> -DGOLDEN=<artifacts.sha256>
+#         -DWORKDIR=<scratch dir> -P check_artifacts.cmake
 
-foreach(var FIG10 PERF_SHARD GOLDEN WORKDIR)
+foreach(var FIG10 GOLDEN WORKDIR)
     if(NOT DEFINED ${var})
         message(FATAL_ERROR "check_artifacts.cmake: -D${var}= is required")
     endif()
@@ -30,8 +29,6 @@ endfunction()
 
 set(ENV{SCUSIM_SCALE} 0.01)
 run_bench(fig10_time.log "${FIG10}")
-unset(ENV{SCUSIM_SCALE})
-run_bench(perf_shard.log "${PERF_SHARD}" --smoke)
 
 file(STRINGS "${GOLDEN}" lines)
 set(checked 0)

@@ -6,9 +6,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <sstream>
 
+#include "alg/bfs.hh"
+#include "alg/pagerank.hh"
+#include "alg/serial.hh"
+#include "alg/sssp.hh"
 #include "graph/datasets.hh"
+#include "graph/partition.hh"
 #include "harness/runner.hh"
 #include "harness/system.hh"
 
@@ -147,6 +154,120 @@ TEST(Runner, StatsDumpContainsComponents)
     EXPECT_NE(out.find("scu.elements"), std::string::npos);
     EXPECT_NE(out.find("gpu.sm0.issued_instrs"),
               std::string::npos);
+}
+
+// perfbench/driver.cc's traced pass drives each cell through the
+// runner step API, with the exact calls below, and requires the
+// cycles and stats dump of the untraced runPrimitive call.
+TEST(Runner, StepApiMatchesRun)
+{
+    const graph::CsrGraph &g = cachedDataset("cond", 0.01);
+    const auto part = graph::GraphPartition::build(g, 1);
+    const graph::CsrGraph &fg = part.fragment(0).csr;
+    // runPrimitive's source: the first max-degree node of the first
+    // 1024.
+    NodeId source = 0;
+    for (NodeId u = 0; u < std::min<NodeId>(g.numNodes(), 1024); ++u) {
+        if (g.degree(u) > g.degree(source))
+            source = u;
+    }
+
+    for (Primitive prim : {Primitive::Bfs, Primitive::Sssp,
+                           Primitive::Pr}) {
+        for (const char *system : {"GTX980", "TX1"}) {
+            for (ScuMode mode : {ScuMode::GpuOnly, ScuMode::ScuBasic,
+                                 ScuMode::ScuEnhanced}) {
+                SCOPED_TRACE(to_string(prim) + "/" + system + "/" +
+                             to_string(mode));
+                RunConfig cfg;
+                cfg.systemName = system;
+                cfg.primitive = prim;
+                cfg.mode = mode;
+                cfg.dataset = "cond";
+                cfg.scale = 0.01;
+                std::ostringstream want;
+                cfg.dumpStatsTo = &want;
+                const RunResult r = runPrimitive(cfg, g);
+                ASSERT_TRUE(r.validated);
+
+                System sys(SystemConfig::byName(
+                    system, mode != ScuMode::GpuOnly));
+                alg::AlgOptions opt;
+                opt.mode = mode;
+                opt.source = source;
+                alg::AlgMetrics m;
+                switch (prim) {
+                  case Primitive::Bfs: {
+                    alg::BfsRunner run(sys, 0, fg, &part);
+                    run.beginRun(opt);
+                    std::uint32_t level = 0;
+                    while (!run.frontierEmpty() &&
+                           level < opt.maxIterations) {
+                        ++level;
+                        ++m.iterations;
+                        run.runLevel(level, m, nullptr);
+                    }
+                    std::vector<std::uint32_t> dist(g.numNodes(), infDist);
+                    run.collect(dist);
+                    EXPECT_EQ(dist, alg::serialBfs(g, source));
+                    break;
+                  }
+                  case Primitive::Sssp: {
+                    alg::SsspRunner run(sys, 0, fg, &part);
+                    run.beginRun(opt);
+                    unsigned iters = 0;
+                    while ((!run.nearEmpty() || !run.farEmpty()) &&
+                           iters < opt.maxIterations) {
+                        while (!run.nearEmpty() &&
+                               iters < opt.maxIterations) {
+                            ++iters;
+                            ++m.iterations;
+                            run.nearIteration(m, nullptr);
+                        }
+                        if (run.nearEmpty() && run.farEmpty())
+                            break;
+                        run.advanceThreshold();
+                        if (!run.farEmpty())
+                            run.farPhase(m);
+                    }
+                    std::vector<std::uint32_t> dist(g.numNodes(), infDist);
+                    run.collect(dist);
+                    EXPECT_EQ(dist, alg::serialDijkstra(g, source));
+                    break;
+                  }
+                  case Primitive::Pr: {
+                    alg::PageRankRunner run(sys, 0, fg, &part);
+                    run.beginRun(opt);
+                    for (unsigned it = 0; it < opt.prMaxIterations;
+                         ++it) {
+                        ++m.iterations;
+                        run.iterate(m, nullptr);
+                        if (run.dampen() <
+                            static_cast<float>(opt.prEpsilon))
+                            break;
+                    }
+                    std::vector<float> ranks(g.numNodes(), 0.0f);
+                    run.collect(ranks);
+                    const auto ref = alg::serialPageRank(
+                        g, 0.15, opt.prEpsilon, opt.prMaxIterations);
+                    ASSERT_EQ(ranks.size(), ref.size());
+                    for (std::size_t u = 0; u < ref.size(); ++u)
+                        EXPECT_NEAR(ranks[u], ref[u],
+                                    1e-2 * std::max(1.0, ref[u]));
+                    break;
+                  }
+                }
+
+                std::ostringstream got;
+                sys.statsRoot().dumpAll(got);
+                EXPECT_EQ(sys.simulation().now(), r.totalCycles);
+                EXPECT_EQ(got.str(), want.str());
+                EXPECT_EQ(m.iterations, r.algMetrics.iterations);
+                EXPECT_EQ(m.gpuEdgeWork, r.algMetrics.gpuEdgeWork);
+                EXPECT_EQ(m.scuFiltered, r.algMetrics.scuFiltered);
+            }
+        }
+    }
 }
 
 TEST(Runner, EnergyBreakdownConsistent)

@@ -2,12 +2,15 @@
  * @file
  * Sharded-execution gates.
  *
- * 1-fragment equivalence: forcing the sharded driver with
- * deviceCount == 1 must produce a byte-identical full statistics dump
- * to the plain path — the partitioner copies the parent CSR verbatim,
+ * runPrimitive runs every cell on one device; the sharded drivers
+ * (alg/sharded.hh) are driven here directly, on a System built with
+ * SystemConfig::deviceCount devices.
+ *
+ * 1-fragment equivalence: the sharded driver on one device must
+ * produce a byte-identical full statistics dump to the plain
+ * runPrimitive path — the partitioner copies the parent CSR verbatim,
  * the drivers run the plain runners' loop, and no ghost or exchange
- * code executes. This pins the refactor down: multi-device support
- * may not perturb single-device behavior at all.
+ * code executes. perfbench's traced pass relies on this seam.
  *
  * Multi-device: 2- and 4-device runs must still validate against the
  * serial references on both systems, move boundary traffic over the
@@ -16,11 +19,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <sstream>
 #include <string>
 #include <tuple>
+#include <vector>
 
+#include "alg/serial.hh"
+#include "alg/sharded.hh"
+#include "graph/partition.hh"
 #include "harness/runner.hh"
+#include "harness/system.hh"
 
 using namespace scusim;
 using namespace scusim::harness;
@@ -28,21 +38,10 @@ using namespace scusim::harness;
 namespace
 {
 
-std::string
-statsDumpFor(const RunConfig &base, RunResult *out = nullptr)
+const graph::CsrGraph &
+testGraph()
 {
-    RunConfig cfg = base;
-    std::ostringstream os;
-    cfg.dumpStatsTo = &os;
-    RunResult r = runPrimitive(cfg);
-    EXPECT_TRUE(r.validated)
-        << to_string(cfg.primitive) << " on " << cfg.systemName
-        << " with " << cfg.deviceCount
-        << " device(s) failed functional validation";
-    EXPECT_FALSE(os.str().empty());
-    if (out)
-        *out = r;
-    return os.str();
+    return cachedDataset("cond", 0.01);
 }
 
 RunConfig
@@ -57,6 +56,90 @@ baseConfig(Primitive prim, const std::string &system)
     return cfg;
 }
 
+/** runPrimitive's source: the first max-degree node of the first
+ *  1024. */
+NodeId
+pickSource(const graph::CsrGraph &g)
+{
+    NodeId source = 0;
+    for (NodeId u = 0; u < std::min<NodeId>(g.numNodes(), 1024); ++u) {
+        if (g.degree(u) > g.degree(source))
+            source = u;
+    }
+    return source;
+}
+
+struct ShardedRun
+{
+    std::string dump;
+    bool validated = false;
+    alg::AlgMetrics metrics;
+    std::vector<alg::AlgMetrics> perDevice;
+    std::uint64_t icnMessages = 0;
+    std::uint64_t icnBytes = 0;
+};
+
+/** One sharded run of @p prim in ScuEnhanced mode on cond @0.01. */
+ShardedRun
+runSharded(Primitive prim, const std::string &system, unsigned numDev)
+{
+    const graph::CsrGraph &g = testGraph();
+    SystemConfig sc = SystemConfig::byName(system, true);
+    sc.deviceCount = numDev;
+    System sys(sc);
+    const auto part = graph::GraphPartition::build(g, numDev);
+
+    alg::AlgOptions opt;
+    opt.mode = ScuMode::ScuEnhanced;
+    opt.source = pickSource(g);
+
+    ShardedRun run;
+    switch (prim) {
+      case Primitive::Bfs: {
+        const alg::BfsResult out =
+            alg::shardedBfs(sys, part, opt, &run.perDevice);
+        run.metrics = out.metrics;
+        run.validated = out.dist == alg::serialBfs(g, opt.source);
+        break;
+      }
+      case Primitive::Sssp: {
+        const alg::SsspResult out =
+            alg::shardedSssp(sys, g, part, opt, &run.perDevice);
+        run.metrics = out.metrics;
+        run.validated =
+            out.dist == alg::serialDijkstra(g, opt.source);
+        break;
+      }
+      case Primitive::Pr: {
+        const alg::PrResult out =
+            alg::shardedPr(sys, part, opt, &run.perDevice);
+        run.metrics = out.metrics;
+        const auto want = alg::serialPageRank(
+            g, 0.15, opt.prEpsilon, opt.prMaxIterations);
+        run.validated = out.ranks.size() == want.size();
+        for (std::size_t u = 0; run.validated && u < want.size(); ++u) {
+            const double denom = std::max(1.0, std::fabs(want[u]));
+            run.validated =
+                std::fabs(want[u] - out.ranks[u]) / denom <= 1e-2;
+        }
+        break;
+      }
+    }
+    EXPECT_TRUE(run.validated)
+        << to_string(prim) << " on " << system << " with " << numDev
+        << " device(s) failed functional validation";
+
+    if (sys.hasInterconnect()) {
+        run.icnMessages = sys.interconnect().messageCount();
+        run.icnBytes = sys.interconnect().byteCount();
+    }
+    std::ostringstream os;
+    sys.statsRoot().dumpAll(os);
+    run.dump = os.str();
+    EXPECT_FALSE(run.dump.empty());
+    return run;
+}
+
 class ShardedGate
     : public ::testing::TestWithParam<
           std::tuple<Primitive, std::string>>
@@ -67,37 +150,33 @@ TEST_P(ShardedGate, OneFragmentMatchesThePlainPathByteForByte)
 {
     const auto [prim, system] = GetParam();
     RunConfig cfg = baseConfig(prim, system);
+    std::ostringstream os;
+    cfg.dumpStatsTo = &os;
+    const RunResult plain = runPrimitive(cfg, testGraph());
+    EXPECT_TRUE(plain.validated);
 
-    const std::string plain = statsDumpFor(cfg);
+    const ShardedRun sharded = runSharded(prim, system, 1);
 
-    cfg.sharded = true;
-    cfg.deviceCount = 1;
-    RunResult r;
-    const std::string sharded = statsDumpFor(cfg, &r);
-
-    ASSERT_EQ(plain.size(), sharded.size());
-    EXPECT_EQ(plain, sharded)
-        << "sharded deviceCount=1 dump diverged from the plain path";
-    EXPECT_EQ(r.deviceCount, 1u);
-    ASSERT_EQ(r.devices.size(), 1u);
-    EXPECT_EQ(r.icnMessages, 0u);
-    EXPECT_EQ(r.devices[0].gpuEdgeWork, r.algMetrics.gpuEdgeWork);
+    ASSERT_EQ(os.str().size(), sharded.dump.size());
+    EXPECT_EQ(os.str(), sharded.dump)
+        << "1-device sharded dump diverged from the plain path";
+    ASSERT_EQ(sharded.perDevice.size(), 1u);
+    EXPECT_EQ(sharded.icnMessages, 0u);
+    EXPECT_EQ(sharded.perDevice[0].gpuEdgeWork,
+              plain.algMetrics.gpuEdgeWork);
+    EXPECT_EQ(sharded.metrics.gpuEdgeWork, plain.algMetrics.gpuEdgeWork);
 }
 
 TEST_P(ShardedGate, TwoAndFourDevicesValidate)
 {
     const auto [prim, system] = GetParam();
     for (unsigned numDev : {2u, 4u}) {
-        RunConfig cfg = baseConfig(prim, system);
-        cfg.deviceCount = numDev;
-        RunResult r;
-        statsDumpFor(cfg, &r);
-        EXPECT_EQ(r.deviceCount, numDev);
-        ASSERT_EQ(r.devices.size(), numDev);
+        const ShardedRun r = runSharded(prim, system, numDev);
+        ASSERT_EQ(r.perDevice.size(), numDev);
         std::uint64_t work = 0;
-        for (const DeviceMetrics &dm : r.devices)
+        for (const alg::AlgMetrics &dm : r.perDevice)
             work += dm.gpuEdgeWork;
-        EXPECT_EQ(work, r.algMetrics.gpuEdgeWork);
+        EXPECT_EQ(work, r.metrics.gpuEdgeWork);
         // A connected frontier cannot stay on one device: some
         // boundary traffic must have crossed the interconnect.
         EXPECT_GT(r.icnMessages, 0u);
@@ -108,11 +187,8 @@ TEST_P(ShardedGate, TwoAndFourDevicesValidate)
 TEST_P(ShardedGate, TwoDeviceRunsAreDeterministic)
 {
     const auto [prim, system] = GetParam();
-    RunConfig cfg = baseConfig(prim, system);
-    cfg.deviceCount = 2;
-
-    const std::string first = statsDumpFor(cfg);
-    const std::string second = statsDumpFor(cfg);
+    const std::string first = runSharded(prim, system, 2).dump;
+    const std::string second = runSharded(prim, system, 2).dump;
     ASSERT_EQ(first.size(), second.size());
     EXPECT_EQ(first, second)
         << "2-device stats dumps diverged between identical runs";

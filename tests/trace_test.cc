@@ -14,13 +14,19 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <fstream>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "alg/serial.hh"
+#include "alg/sharded.hh"
+#include "graph/partition.hh"
 #include "harness/runner.hh"
+#include "harness/system.hh"
 #include "stats/timeseries.hh"
 #include "trace/chrome_export.hh"
 #include "trace/trace.hh"
@@ -449,18 +455,34 @@ TEST(TracedRuns, ExporterWritesLoadableArtifactsForARealRun)
 
 TEST(TracedRuns, MultiDeviceRunExportsPerDeviceLanes)
 {
+    // runPrimitive runs one device; a 2-device run is traced by
+    // driving the sharded BFS on a 2-device System directly.
     const std::string jsonPath =
         ::testing::TempDir() + "/scusim_trace_multidev.json";
 
-    harness::RunConfig cfg = tinyBfs();
-    cfg.deviceCount = 2;
-    cfg.trace.enabled = true;
-    cfg.trace.mask = maskAll;
-    cfg.trace.exportPath = jsonPath;
+    const graph::CsrGraph &g = harness::cachedDataset("cond", 0.01);
+    harness::SystemConfig sc = harness::SystemConfig::byName("GTX980");
+    sc.deviceCount = 2;
+    harness::System sys(sc);
+    TraceConfig tc;
+    tc.enabled = true;
+    tc.mask = maskAll;
+    sys.simulation().installTraceSink(std::make_unique<TraceSink>(tc));
+    sys.attachTrace();
 
-    harness::RunResult r = harness::runPrimitive(cfg);
-    EXPECT_TRUE(r.validated);
-    EXPECT_GT(r.icnMessages, 0u);
+    const auto part = graph::GraphPartition::build(g, 2);
+    alg::AlgOptions opt;
+    opt.mode = harness::ScuMode::ScuEnhanced;
+    // runPrimitive's source: the first max-degree node of the first
+    // 1024.
+    for (NodeId u = 0; u < std::min<NodeId>(g.numNodes(), 1024); ++u) {
+        if (g.degree(u) > g.degree(opt.source))
+            opt.source = u;
+    }
+    const alg::BfsResult out = alg::shardedBfs(sys, part, opt);
+    EXPECT_EQ(out.dist, alg::serialBfs(g, opt.source));
+    EXPECT_GT(sys.interconnect().messageCount(), 0u);
+    ASSERT_TRUE(writeChromeTrace(jsonPath, *sys.simulation().traceSink()));
 
     std::ifstream jf(jsonPath);
     ASSERT_TRUE(jf.good()) << "trace JSON was not written";

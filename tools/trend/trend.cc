@@ -13,20 +13,13 @@
  * two artifacts are written by different code paths, so agreement is
  * a real invariant, not a tautology.
  *
- * With --by-device it prints the sharded view instead: one aggregate
- * row per run plus one indented row per device slice (from the
- * dev<k>_* CSV columns multi-device runs emit), so per-device SCU
- * filtering skew and link traffic are greppable per commit.
- *
  *   trend <artifact.csv> [<artifact.failures.json>]
  *   trend --check <artifact.csv> [<artifact.failures.json>]
- *   trend --by-device <artifact.csv>
  *   trend --self-test
  */
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <map>
 #include <sstream>
@@ -184,84 +177,6 @@ parseFailuresJson(const std::string &doc)
     return out;
 }
 
-/** One device slice of a sharded run, from the dev<k>_* columns. */
-struct DeviceSlice
-{
-    std::string gpuEdgeWork;
-    std::string rawExpanded;
-    std::string scuFiltered;
-    std::string scuBusyCycles;
-    std::string filterHitRate;
-};
-
-/**
- * Extract the per-device slices a multi-device run wrote into its
- * CSV row. Single-device rows (and rows from a pre-sharding schema,
- * which lack the columns entirely) yield an empty vector.
- */
-std::vector<DeviceSlice>
-deviceSlices(const Row &r)
-{
-    std::vector<DeviceSlice> out;
-    for (unsigned d = 0;; ++d) {
-        const std::string pre = "dev" + std::to_string(d) + "_";
-        if (r.get(pre + "gpuEdgeWork").empty())
-            break;
-        DeviceSlice s;
-        s.gpuEdgeWork = r.get(pre + "gpuEdgeWork");
-        s.rawExpanded = r.get(pre + "rawExpanded");
-        s.scuFiltered = r.get(pre + "scuFiltered");
-        s.scuBusyCycles = r.get(pre + "scuBusyCycles");
-        s.filterHitRate = r.get(pre + "filterHitRate");
-        out.push_back(std::move(s));
-    }
-    return out;
-}
-
-/**
- * Print the sharded view: one aggregate row per run, then one
- * indented row per device slice where the run recorded any.
- */
-void
-printByDevice(const std::vector<Row> &rows)
-{
-    std::size_t wLabel = 8;
-    for (const auto &r : rows)
-        wLabel = std::max(wLabel, r.get("label").size());
-    std::printf("%-*s %4s %12s %12s %12s %8s %9s %10s\n",
-                static_cast<int>(wLabel), "label", "dev", "edgeWork",
-                "expanded", "filtered", "hitRate", "icn msgs",
-                "icn bytes");
-    for (const auto &r : rows) {
-        const std::string &devCount = r.get("deviceCount");
-        const double raw = std::atof(r.get("rawExpanded").c_str());
-        const double flt = std::atof(r.get("scuFiltered").c_str());
-        std::printf("%-*s %4s %12s %12s %12s %8.3f %9s %10s\n",
-                    static_cast<int>(wLabel),
-                    r.get("label").c_str(),
-                    devCount.empty() ? "1" : devCount.c_str(),
-                    r.get("gpuEdgeWork").c_str(),
-                    r.get("rawExpanded").c_str(),
-                    r.get("scuFiltered").c_str(),
-                    raw > 0 ? flt / raw : 0.0,
-                    r.get("icnMessages").c_str(),
-                    r.get("icnBytes").c_str());
-        const auto slices = deviceSlices(r);
-        for (std::size_t d = 0; d < slices.size(); ++d) {
-            const std::string tag =
-                "  d" + std::to_string(d);
-            std::printf("%-*s %4s %12s %12s %12s %8.3f %9s %10s\n",
-                        static_cast<int>(wLabel), tag.c_str(), "-",
-                        slices[d].gpuEdgeWork.c_str(),
-                        slices[d].rawExpanded.c_str(),
-                        slices[d].scuFiltered.c_str(),
-                        std::atof(slices[d].filterHitRate.c_str()),
-                        "-", "-");
-        }
-    }
-    std::printf("\n%zu runs\n", rows.size());
-}
-
 /** Print the per-run trend table and summary for @p rows. */
 void
 printTrend(const std::vector<Row> &rows)
@@ -388,32 +303,6 @@ selfTest()
     expect(checkConsistency(rows, parseFailuresJson(bad)) == 3,
            "inconsistent artifacts counted");
 
-    // Per-device CSV columns (--by-device mode). The second row is a
-    // single-device run whose dev<k>_* cells were written empty.
-    const std::string devCsv =
-        "label,deviceCount,gpuEdgeWork,rawExpanded,scuFiltered,"
-        "icnMessages,icnBytes,"
-        "dev0_gpuEdgeWork,dev0_rawExpanded,dev0_scuFiltered,"
-        "dev0_scuBusyCycles,dev0_filterHitRate,"
-        "dev1_gpuEdgeWork,dev1_rawExpanded,dev1_scuFiltered,"
-        "dev1_scuBusyCycles,dev1_filterHitRate\n"
-        "\"BFS/GTX980/cond/scu-enhanced/dev2\",2,100,80,50,7,56,"
-        "60,48,30,400,0.625,40,32,20,300,0.625\n"
-        "\"BFS/GTX980/cond/scu-enhanced\",1,100,80,50,0,0,"
-        ",,,,,,,,,\n";
-    std::istringstream dis(devCsv);
-    auto devRows = parseCsv(dis, err);
-    expect(err.empty(), "per-device CSV parses clean");
-    expect(devRows.size() == 2, "two per-device CSV rows");
-    auto slices = deviceSlices(devRows[0]);
-    expect(slices.size() == 2, "two device slices on the dev2 row");
-    expect(slices.size() == 2 && slices[0].gpuEdgeWork == "60",
-           "slice 0 edge work surfaced");
-    expect(slices.size() == 2 && slices[1].filterHitRate == "0.625",
-           "slice 1 hit rate surfaced");
-    expect(deviceSlices(devRows[1]).empty(),
-           "single-device row yields no slices");
-
     std::printf("trend self-test %s\n", failed ? "FAILED" : "OK");
     return failed ? 1 : 0;
 }
@@ -424,9 +313,8 @@ usage(const char *argv0)
     std::fprintf(stderr,
                  "usage: %s [--check] <artifact.csv> "
                  "[<artifact.failures.json>]\n"
-                 "       %s --by-device <artifact.csv>\n"
                  "       %s --self-test\n",
-                 argv0, argv0, argv0);
+                 argv0, argv0);
     return 2;
 }
 
@@ -436,7 +324,6 @@ int
 main(int argc, char **argv)
 {
     bool check = false;
-    bool byDevice = false;
     std::vector<std::string> paths;
     for (int i = 1; i < argc; ++i) {
         const std::string a = argv[i];
@@ -444,15 +331,12 @@ main(int argc, char **argv)
             return selfTest();
         if (a == "--check")
             check = true;
-        else if (a == "--by-device")
-            byDevice = true;
         else if (!a.empty() && a[0] == '-')
             return usage(argv[0]);
         else
             paths.push_back(a);
     }
-    if (paths.empty() || paths.size() > 2 ||
-        (byDevice && (check || paths.size() != 1)))
+    if (paths.empty() || paths.size() > 2)
         return usage(argv[0]);
 
     std::ifstream is(paths[0]);
@@ -466,10 +350,6 @@ main(int argc, char **argv)
         std::fprintf(stderr, "%s: %s\n", paths[0].c_str(),
                      err.c_str());
         return 1;
-    }
-    if (byDevice) {
-        printByDevice(rows);
-        return 0;
     }
     printTrend(rows);
     if (!check)
